@@ -6,7 +6,6 @@ tails, certifies every inequality the construction needs, and verifies
 peaking of the assembled series on concrete barrier families.
 """
 
-from ._kernels import active_backend, available_backends, use_backend
 from .certificates import CertificateReport, run_all
 from .enclosure import ComplexEnclosure, Enclosure
 from .errors import (BuildRefusedError, ConfigError, DomainError,
@@ -24,6 +23,16 @@ from .series import (CaseLabel, EvalResult, PeakSeries, build, load_series,
 from .weights import WeightEngine
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation, always "pure".
+
+    There is one implementation; the name stays because perfbench records
+    it with every run and refuses to compare runs of different backends.
+    """
+    return "pure"
+
 
 __all__ = [
     "BuildRefusedError",
@@ -49,7 +58,6 @@ __all__ = [
     "adjust_C",
     "adjust_t",
     "audit_family",
-    "available_backends",
     "build",
     "choose_D",
     "choose_L",
@@ -63,6 +71,5 @@ __all__ = [
     "run_all",
     "save_series",
     "synthetic_family",
-    "use_backend",
     "__version__",
 ]

@@ -1,10 +1,4 @@
-"""Pure-Python kernels: quadrature and certificate sweeps.
-
-The compiled backend (``_corekernels.pyx``) mirrors these functions
-statement for statement.  Both must produce bit-identical doubles: same
-libm calls, same evaluation order, no fused multiply-adds.  Keep the two
-files in sync when editing either.
-"""
+"""Numeric kernels: Gauss-Kronrod quadrature and certificate sweeps."""
 
 import math
 
@@ -46,28 +40,12 @@ def psi_val(tau: float, lid: float, ca: float, p: float) -> float:
     return tau * lid + ca * math.pow(tau, 1.0 + p)
 
 
-def _gk15_psi_negt(a, b, lid, ca, p, t):
-    # one Gauss-Kronrod 7-15 panel for psi(s)^(-t); returns (kronrod, |K-G|)
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = math.pow(psi_val(c, lid, ca, p), -t)
-    resk = fc * GK_WK[7]
-    resg = fc * GK_WG[3]
-    for i in range(7):
-        dx = h * GK_X[i]
-        f1 = math.pow(psi_val(c - dx, lid, ca, p), -t)
-        f2 = math.pow(psi_val(c + dx, lid, ca, p), -t)
-        resk += GK_WK[i] * (f1 + f2)
-        if i == 1 or i == 3 or i == 5:
-            resg += GK_WG[i // 2] * (f1 + f2)
-    return resk * h, abs((resk - resg) * h)
+def adaptive_quad(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
+    """Adaptive Gauss-Kronrod 7-15 integral of a smooth callable over [a, b].
 
-
-def quad_psi_negt(a, b, lid, ca, p, t, rel_tol):
-    """Adaptive integral of psi(s)^(-t) over [a, b], a >= 1.
-
-    Returns (value, error_bound).  Deterministic left-first bisection; the
-    error bound is the sum of accepted per-panel |K-G| estimates.
+    Returns (value, error_bound).  Deterministic left-first bisection; a
+    panel is accepted when its |K-G| is within rel_tol of its value or at
+    depth _MAX_DEPTH, and the error bound is the sum of accepted |K-G|.
     """
     if b <= a:
         return 0.0, 0.0
@@ -77,7 +55,20 @@ def quad_psi_negt(a, b, lid, ca, p, t, rel_tol):
     err = 0.0
     while stack:
         lo, hi, depth = stack.pop()
-        val, e = _gk15_psi_negt(lo, hi, lid, ca, p, t)
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        fc = f(c)
+        resk = fc * GK_WK[7]
+        resg = fc * GK_WG[3]
+        for i in range(7):
+            dx = h * GK_X[i]
+            f1 = f(c - dx)
+            f2 = f(c + dx)
+            resk += GK_WK[i] * (f1 + f2)
+            if i == 1 or i == 3 or i == 5:
+                resg += GK_WG[i // 2] * (f1 + f2)
+        val = resk * h
+        e = abs((resk - resg) * h)
         if e <= rel_tol * abs(val) or depth >= _MAX_DEPTH:
             total += val
             err += e
@@ -86,6 +77,12 @@ def quad_psi_negt(a, b, lid, ca, p, t, rel_tol):
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
     return total, err
+
+
+def quad_psi_negt(a, b, lid, ca, p, t, rel_tol):
+    """Adaptive integral of psi(s)^(-t) over [a, b]; see adaptive_quad."""
+    return adaptive_quad(lambda s: math.pow(psi_val(s, lid, ca, p), -t),
+                         a, b, rel_tol)
 
 
 def pow_sums(n: int, e: float):
@@ -141,7 +138,9 @@ def choose_l_sweep(m_max: int, p: float, big_l: float):
     """Worst relative margin of the linear-vs-power comparison constant.
 
     Checks 2(m-1) + (m^(1+p) - (p+1)m + p)/(p(p+1)) <= L*m^(1+p)/(p(p+1))
-    over m in [1, m_max]; returns (min_rel_margin, argmin_m).
+    over m in [1, m_max]; returns (min_rel_margin, argmin_m).  The run
+    uses the closed-form bound proved in hypothesis.choose_L; the tests
+    keep this sweep as its reference.
     """
     denom = p * (p + 1.0)
     best = math.inf

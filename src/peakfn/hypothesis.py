@@ -8,11 +8,9 @@ margins, so downstream modules can treat the constants as pre-validated.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import (
     InfeasibleParametersError,
     InvalidHypothesisError,
@@ -31,10 +29,11 @@ DELTA_M = 0.5
 # cap for the geometric M search, as a multiple of C
 M_CAP_FACTOR = 2.0 ** 20
 
-# default radius-bound constant candidate
+# radius-bound constant; choose_L proves L >= 3 suffices for every p in (0,1)
 L_CANDIDATE = 5.0
 
-# p values swept when validating L (p is in (0,1) for all admissible t, M)
+# p values on which the tests compare the L bound with a direct sweep
+# (p is in (0,1) for all admissible t, M)
 P_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
@@ -301,28 +300,29 @@ def choose_M(h: HypothesisConstants, m_check: int = 120) -> tuple[float, dict]:
         f"no admissible M up to cap {cap!r}", best_margin=best_margin)
 
 
-def choose_L(p_grid=P_GRID, m_max: int = 10_000) -> float:
-    """Radius-bound constant validated by brute-force sweep over m and p."""
-    return _choose_L_cached(tuple(p_grid), int(m_max))
+def choose_L() -> float:
+    """Radius-bound constant, valid for every p in (0,1) and every m >= 1.
+
+    The inequality 2(m-1) + (m^(1+p) - (p+1)m + p)/(p(p+1)) <= L m^(1+p)/(p(p+1))
+    becomes, after multiplying by p(p+1) and subtracting m^(1+p),
+    (p+1)(2p-1)m - p(2p+1) <= (L-1) m^(1+p).  The left side is at most
+    max(0, (p+1)(2p-1)) m^(1+p) for m >= 1, so any
+    L >= 1 + max(0, (p+1)(2p-1)) works; that bound is at most 3 on (0,1)
+    and tight at p = 1/2 as m -> infinity.
+    """
+    return L_CANDIDATE
 
 
-@functools.lru_cache(maxsize=None)
-def _choose_L_cached(p_grid: tuple, m_max: int) -> float:
-    if m_max < 2:
-        raise InvalidParameterError("m_max must be at least 2")
-    big_l = L_CANDIDATE
-    while big_l < 2.0 ** 30:
-        worst = math.inf
-        for p in p_grid:
-            if not (0.0 < p < 1.0):
-                raise InvalidParameterError(f"p grid value outside (0,1): {p!r}")
-            margin, _ = _kernels.choose_l_sweep(m_max, p, big_l)
-            if margin < worst:
-                worst = margin
-        if worst > GUARD:
-            return big_l
-        big_l *= 2.0
-    raise InfeasibleParametersError("no L found below cap")
+def l_certificate(p: float, L: float) -> dict:
+    """Closed-form certificate that L clears the bound proved in choose_L;
+    like every check here it needs the guard band, so a tie fails."""
+    required = 1.0 + max(0.0, (p + 1.0) * (2.0 * p - 1.0))
+    return {
+        "required": required,
+        "L": L,
+        "rel_margin": rel_margin(required, L),
+        "passed": strictly_less(required, L),
+    }
 
 
 def derive_constants(h: HypothesisConstants,
@@ -372,6 +372,7 @@ def derive_constants(h: HypothesisConstants,
         report["L_policy"] = "override"
         if not (L > 0.0):
             raise InvalidParameterError(f"L must be positive, got {L!r}")
+    report["L_certificate"] = l_certificate(p, L)
     k = (1.0 - hn.alpha) / (2.0 * M)
     consts = Constants(alpha=hn.alpha, s=hn.s, t=hn.t, A=hn.A, C=hn.C,
                        D=D, M=M, p=p, q=q, L=L, k=k)

@@ -77,28 +77,12 @@ class PeakSeries:
                              for lir in self.log_inv_r]
 
     def split_index(self, y: complex) -> int:
-        """Smallest m with r_m <= |y - x|, certified in log space.
-
-        Ambiguous comparisons resolve toward larger m, which routes the
-        term through the weaker on-ball bound; 0 flags the peak itself.
-        """
+        """Smallest m with r_m <= |y - x|, as Schedule.split_index; 0 flags
+        the peak itself."""
         d = self.family.domain.distance_to_peak(y)
         if d == 0.0:
             return 0
-        log_inv_d = -math.log(d)
-        for j, lir in enumerate(self.log_inv_r, start=1):
-            if lir >= log_inv_d + GUARD * max(1.0, abs(lir)):
-                return j
-        eng = self.engine()
-        m = self.n_terms + 1
-        while True:
-            lir = eng.schedule.log_inv_radius(m)
-            if lir >= log_inv_d + GUARD * max(1.0, abs(lir)):
-                return m
-            m += 1
-            if m > 200_000:
-                raise DomainError(
-                    f"point at distance {d!r} splits beyond index 200000")
+        return self.engine().schedule.split_index(-math.log(d))
 
     def evaluate(self, y: complex) -> EvalResult:
         y = self.family.domain.require(y)

@@ -27,44 +27,6 @@ ERR_SAFETY = 10.0
 ACC_REL_GUARD = 1e-14
 
 
-def _adaptive_quad(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
-    """Adaptive Gauss-Kronrod 7-15 for a smooth Python callable.
-
-    Same rule and same deterministic left-first bisection as the kernel
-    quadrature; used only for integrands that need engine callbacks.
-    """
-    if b <= a:
-        return 0.0, 0.0
-    xs, wk, wg = _kernels.GK_X, _kernels.GK_WK, _kernels.GK_WG
-    stack = [(a, b, 0)]
-    total = 0.0
-    err = 0.0
-    while stack:
-        lo, hi, depth = stack.pop()
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        fc = f(c)
-        resk = fc * wk[7]
-        resg = fc * wg[3]
-        for i in range(7):
-            dx = h * xs[i]
-            f1 = f(c - dx)
-            f2 = f(c + dx)
-            resk += wk[i] * (f1 + f2)
-            if i == 1 or i == 3 or i == 5:
-                resg += wg[i // 2] * (f1 + f2)
-        val = resk * h
-        e = abs((resk - resg) * h)
-        if e <= rel_tol * abs(val) or depth >= 48:
-            total += val
-            err += e
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-    return total, err
-
-
 class WeightEngine:
     """Cached enclosures of I, g, sigma and their prefix sums and tails."""
 
@@ -214,11 +176,11 @@ class WeightEngine:
 
         # psi has a kink at 1: keep it on a panel boundary
         if x < 1.0 < big_x:
-            v1, e1 = _adaptive_quad(integrand, x, 1.0, 1e-9)
-            v2, e2 = _adaptive_quad(integrand, 1.0, big_x, 1e-9)
+            v1, e1 = _kernels.adaptive_quad(integrand, x, 1.0, 1e-9)
+            v2, e2 = _kernels.adaptive_quad(integrand, 1.0, big_x, 1e-9)
             val, err = v1 + v2, e1 + e2
         else:
-            val, err = _adaptive_quad(integrand, x, big_x, 1e-9)
+            val, err = _kernels.adaptive_quad(integrand, x, big_x, 1e-9)
         gx = self.g(x).mid
         gbig = self.g(big_x).mid
         residual = abs(k * val + gbig - gx) / gx
@@ -234,24 +196,21 @@ class WeightEngine:
 
         psi(tau) <= psi(1) * tau^(1+p) for tau >= 1, so u(s2) - u(s1) is at
         least k * psi(1)^(-t) * (s2^(1-q) - s1^(1-q))/(1-q); the same closed
-        form grows without bound since 1-q > 0.  Checks the measured
-        increase against the minorant and reports both.
+        form grows without bound since 1-q > 0.  Measures the increase as
+        one adaptive integral over [s1, s2], checks it against the minorant
+        and reports both.
         """
         if not (1.0 <= s1 < s2):
             raise InvalidParameterError("need 1 <= s1 < s2")
         k = self.consts.k
         one_minus_q = 1.0 - self.consts.q
-        u1 = k * self.integral_I(s1).mid
-        u2 = k * self.integral_I(s2).mid
-        measured = u2 - u1
+        measured = k * self._quad_panel(s1, s2).mid
         minorant = k * self._psi1_negt.lo * \
             (math.pow(s2, one_minus_q) - math.pow(s1, one_minus_q)) / one_minus_q
         passed = (measured >= minorant * (1.0 - 1e-9)) and one_minus_q > GUARD
         return {
             "s1": s1,
             "s2": s2,
-            "u_s1": u1,
-            "u_s2": u2,
             "measured_increase": measured,
             "certified_minorant": minorant,
             "divergence_exponent": one_minus_q,

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from peakfn import (Constants, HypothesisConstants, InfeasibleParametersError,
                     InvalidHypothesisError, adjust_C, adjust_t, choose_D,
                     choose_L, choose_M, derive_constants, derive_pq)
-from peakfn.hypothesis import first_shell_margin
+from peakfn._kernels import choose_l_sweep
+from peakfn.hypothesis import (L_CANDIDATE, P_GRID, first_shell_margin,
+                               l_certificate)
 
 
 REF = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=0.5, C=2.0)
@@ -80,6 +82,28 @@ def test_choose_M_infeasible_reported():
 
 def test_choose_L_ref():
     assert choose_L() == 5.0
+
+
+def test_L_certificate_derived_and_override():
+    _, report = derive_constants(REF)
+    cert = report["L_certificate"]
+    # p = 1/4 < 1/2, so the proof needs only L >= 1
+    assert cert["required"] == 1.0
+    assert cert["L"] == 5.0 and cert["rel_margin"] == pytest.approx(0.8)
+    assert cert["passed"] is True
+    _, report = derive_constants(REF, L=0.5)
+    assert report["L_policy"] == "override"
+    assert report["L_certificate"]["L"] == 0.5
+    assert report["L_certificate"]["passed"] is False
+
+
+@pytest.mark.parametrize("p", P_GRID + (0.5, 0.999))
+def test_L_bound_agrees_with_sweep(p):
+    # the closed-form bound is at most 3, and a direct sweep over m accepts it
+    need = l_certificate(p, L_CANDIDATE)["required"]
+    assert 1.0 <= need <= 3.0 < L_CANDIDATE
+    margin, arg = choose_l_sweep(2000, p, need * (1.0 + 1e-9))
+    assert margin > 0.0, f"sweep fails at p={p}, m={arg}"
 
 
 def test_derive_constants_ref_bundle():

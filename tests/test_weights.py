@@ -130,6 +130,13 @@ def test_divergence_certificate(engine):
     assert rec["measured_increase"] >= rec["certified_minorant"]
 
 
+def test_divergence_certificate_leaves_unit_cache_empty(ref_constants):
+    # one adaptive integral over [s1, s2]: no unit panels are cached
+    eng = WeightEngine(ref_constants)
+    assert eng.divergence_certificate()["passed"]
+    assert len(eng._i_enc) == 1
+
+
 def test_decay_bound_check(engine):
     rec = engine.decay_bound_check()
     assert rec["passed"]
