@@ -105,7 +105,9 @@ def bracket_sweep(m_max: int, p: float):
         (m^(p+1) - 1)/(p+1) + (1 - m^p)  <  S2  <  (m^(p+1) - 1)/(p+1)
 
     Returns (r1lo, m1lo, r1hi, m1hi, r2lo, m2lo, r2hi, m2hi): the minimum
-    relative margin of each of the four inequalities and its argmin m.
+    relative margin of each of the four inequalities and its argmin m.  The
+    run uses the all-m proof in hypothesis.bracket_certificate; the tests
+    keep this sweep as its reference.
     """
     s1 = 1.0
     s2 = 1.0
@@ -165,7 +167,9 @@ def radius_bound_sweep(m_max: int, p: float, lid: float, lia: float, big_l: floa
 
     Runs the log(1/r_m) recursion and checks
     log(1/r_m) <= m*lid + lia*L*m^(1+p)/(p(p+1)) for m in [1, m_max].
-    Returns (min_rel_margin, argmin_m).
+    Returns (min_rel_margin, argmin_m).  The run certifies the bound for
+    every m by the radius-bound proof in certificates; the tests keep this
+    sweep as its reference.
     """
     ca = lia * big_l / (p * (p + 1.0))
     best = math.inf

@@ -209,45 +209,49 @@ def eps_exponent_sides(alpha: float, s: float, t: float, A: float,
 
 def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
                           M: float, p: float, q: float, m_check: int) -> dict:
-    """Sufficient condition for the shrink inequality beyond m_check.
+    """Tail proof: rhs - lhs of the shrink inequality increases past m_check.
 
-    With c1, c2 the two exponent coefficients, d(m) = c2*(m-1)^p -
-    c1*(m+1)^(1-q) must be positive at m_check and discretely increasing on
-    [m_check, 4*m_check], and p must exceed 1-q.  Then the dominant term of
-    the RHS outgrows the LHS for all larger m.
+    With c1, c2 the two exponent coefficients, rhs - lhs equals
+    d(m) + c1*2^(1-q) - c2 with d(m) = c2*(m-1)^p - c1*(m+1)^(1-q), and
+    d'(m) > 0 iff c2*p*R(m) > c1*(1-q) with R(m) = (m+1)^q / (m-1)^(1-p).
+    Given the gap p > 1-q, log R falls and then rises, with its minimum at
+    m* = (q+1-p)/(q-(1-p)); so the slope test at m0 = max(m_check, m*)
+    proves d' > 0 on [m_check, inf), and the head check at m_check then
+    covers every larger m.  d(m_check) > 0 is also required: it is not
+    needed by the proof, but it keeps the chooser's accepted M unchanged.
     """
     c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
     c2 = math.log(1.0 / A) * (s / p)
-
-    def d(m: float) -> float:
-        return c2 * math.pow(m - 1.0, p) - c1 * math.pow(m + 1.0, 1.0 - q)
-
+    gap = p - (1.0 - q)
     exp_ok = strictly_less(1.0 - q, p)
-    d0 = d(float(m_check))
-    positive_ok = d0 > 0.0
-    min_diff = math.inf
-    prev = d0
-    for m in range(m_check + 1, 4 * m_check + 1):
-        cur = d(float(m))
-        diff = cur - prev
-        if diff < min_diff:
-            min_diff = diff
-        prev = cur
-    increasing_ok = min_diff > 0.0
+    d0 = (c2 * math.pow(m_check - 1.0, p)
+          - c1 * math.pow(m_check + 1.0, 1.0 - q))
+    m_star = m0 = slope_margin = None
+    increasing_ok = False
+    if exp_ok:
+        m_star = (q + 1.0 - p) / gap
+        m0 = max(float(m_check), m_star)
+        r0 = math.pow(m0 + 1.0, q) / math.pow(m0 - 1.0, 1.0 - p)
+        slope_lo, slope_hi = c1 * (1.0 - q), c2 * p * r0
+        slope_margin = rel_margin(slope_lo, slope_hi)
+        increasing_ok = strictly_less(slope_lo, slope_hi)
     return {
-        "exponent_gap": p - (1.0 - q),
+        "exponent_gap": gap,
         "exponent_ok": exp_ok,
         "d_at_m_check": d0,
-        "d_positive": positive_ok,
-        "min_discrete_increase": min_diff,
+        "d_positive": d0 > 0.0,
+        "m_star": m_star,
+        "m0": m0,
+        "slope_rel_margin_at_m0": slope_margin,
         "d_increasing": increasing_ok,
-        "passed": bool(exp_ok and positive_ok and increasing_ok),
+        "passed": bool(exp_ok and d0 > 0.0 and increasing_ok),
     }
 
 
 def eps_condition_report(alpha: float, s: float, t: float, A: float,
                          M: float, p: float, q: float, m_check: int) -> dict:
-    """Per-m margins of the shrink inequality on [3, m_check] plus tail."""
+    """Per-m margins of the shrink inequality on [3, m_check], plus the tail
+    proof that extends it to every m >= m_check."""
     margins = []
     min_rel = math.inf
     argmin = 0
@@ -322,6 +326,26 @@ def l_certificate(p: float, L: float) -> dict:
         "L": L,
         "rel_margin": rel_margin(required, L),
         "passed": strictly_less(required, L),
+    }
+
+
+def bracket_certificate(p: float) -> dict:
+    """Closed-form certificate of the partial-sum sandwich brackets.
+
+    For p in (0,1), j^(p-1) strictly decreases and j^p strictly increases,
+    so comparing each sum with the integral of its summand gives, for every
+    m >= 2, with S1 = sum_{j<m} j^(p-1) and S2 = sum_{j<m} j^p,
+
+        (m^p - 1)/p  <  S1  <  (m^p - 1)/p + (1 - m^(p-1))
+        (m^(p+1) - 1)/(p+1) + (1 - m^p)  <  S2  <  (m^(p+1) - 1)/(p+1)
+
+    The certificate is p in (0,1) with the guard band on both ends; the
+    margin is the smaller relative clearance of 0 < p and p < 1.
+    """
+    return {
+        "p": p,
+        "rel_margin": min(rel_margin(0.0, p), rel_margin(p, 1.0)),
+        "passed": strictly_less(0.0, p) and strictly_less(p, 1.0),
     }
 
 

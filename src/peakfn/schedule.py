@@ -9,7 +9,6 @@ sums S_k = sum_{j<=k} j^(p-1).
 from __future__ import annotations
 
 import math
-import threading
 
 from . import _kernels
 from .errors import DomainError, InvalidParameterError
@@ -17,7 +16,10 @@ from .hypothesis import GUARD, Constants
 
 
 class Schedule:
-    """Cached, append-only view of the sequences driven by one Constants set."""
+    """Cached, append-only view of the sequences driven by one Constants set.
+
+    Not thread-safe: queries grow the caches in place.
+    """
 
     def __init__(self, consts: Constants):
         self.consts = consts
@@ -28,32 +30,25 @@ class Schedule:
         self._ca = consts.log_inv_A * consts.L / (consts.p * (consts.p + 1.0))
         self._psums: list[float] = []
         self._lir: list[float] = [consts.log_inv_D]
-        self._lock = threading.RLock()
 
     # -- cache growth --------------------------------------------------
 
     def _ensure_psums(self, k: int) -> None:
         if k <= len(self._psums):
             return
-        with self._lock:
-            if k <= len(self._psums):
-                return
-            n = max(k, 2 * len(self._psums), 16)
-            # recomputing the full prefix gives the same floats as extending
-            self._psums = _kernels.pow_sums(n, self._p - 1.0)
+        n = max(k, 2 * len(self._psums), 16)
+        # recomputing the full prefix gives the same floats as extending
+        self._psums = _kernels.pow_sums(n, self._p - 1.0)
 
     def _ensure_radii(self, m: int) -> None:
         if m <= len(self._lir):
             return
-        with self._lock:
-            if m <= len(self._lir):
-                return
-            self._ensure_psums(m - 1)
-            lir = self._lir
-            while len(lir) < m:
-                j = len(lir)  # extending to index j+1 (1-based)
-                log_inv_eps = self._lid + self._psums[j - 1] * self._lia
-                lir.append(self._lia + lir[-1] + log_inv_eps)
+        self._ensure_psums(m - 1)
+        lir = self._lir
+        while len(lir) < m:
+            j = len(lir)  # extending to index j+1 (1-based)
+            log_inv_eps = self._lid + self._psums[j - 1] * self._lia
+            lir.append(self._lia + lir[-1] + log_inv_eps)
 
     # -- sequence queries ----------------------------------------------
 
@@ -121,10 +116,15 @@ class Schedule:
                 raise InvalidParameterError(
                     f"split index exceeded cap {cap} (point too close to peak)")
 
-    # -- bracket certificate --------------------------------------------
+    # -- bracket sweep ----------------------------------------------------
 
     def check_sum_brackets(self, m_max: int, p: float | None = None) -> dict:
-        """Sandwich brackets for both power partial sums over [2, m_max]."""
+        """Sandwich brackets for both power partial sums over [2, m_max].
+
+        A finite sweep; certify uses the all-m proof in
+        hypothesis.bracket_certificate, and the tests keep this as its
+        reference.
+        """
         if m_max < 2:
             raise InvalidParameterError(f"m_max must be >= 2, got {m_max!r}")
         pp = self._p if p is None else float(p)
@@ -144,17 +144,4 @@ class Schedule:
             },
             "min_rel_margin": worst,
             "passed": bool(worst > GUARD),
-        }
-
-    def check_radius_majorant(self, m_max: int = 1000) -> dict:
-        """psi(m) >= log(1/r_m) margin sweep (the growth-bound certificate)."""
-        if m_max < 1:
-            raise InvalidParameterError(f"m_max must be >= 1, got {m_max!r}")
-        margin, arg = _kernels.radius_bound_sweep(
-            m_max, self._p, self._lid, self._lia, self.consts.L)
-        return {
-            "m_max": m_max,
-            "min_rel_margin": margin,
-            "argmin_m": arg,
-            "passed": bool(margin > GUARD),
         }

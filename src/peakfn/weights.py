@@ -10,7 +10,6 @@ explicit summation alone would never converge usefully).
 from __future__ import annotations
 
 import math
-import threading
 
 from . import _kernels
 from .enclosure import ZERO, Enclosure
@@ -28,7 +27,10 @@ ACC_REL_GUARD = 1e-14
 
 
 class WeightEngine:
-    """Cached enclosures of I, g, sigma and their prefix sums and tails."""
+    """Cached enclosures of I, g, sigma and their prefix sums and tails.
+
+    Not thread-safe: queries grow the caches in place.
+    """
 
     def __init__(self, consts: Constants, schedule: Schedule | None = None,
                  quad_rel_tol: float = 1e-10):
@@ -43,7 +45,6 @@ class WeightEngine:
         self._i_enc: list[Enclosure] = [ZERO]
         self._sigma: list[Enclosure] = []
         self._sigma_prefix: list[Enclosure] = [ZERO]
-        self._lock = threading.RLock()
 
     # -- quadrature ------------------------------------------------------
 
@@ -59,18 +60,13 @@ class WeightEngine:
         return Enclosure.from_midrad(val, ERR_SAFETY * err + abs(val) * ACC_REL_GUARD)
 
     def _ensure_integer_i(self, n: int) -> None:
-        if n < len(self._i_enc):
-            return
-        with self._lock:
-            if n < len(self._i_enc):
-                return
-            cache = self._i_enc
-            while len(cache) <= n:
-                j = len(cache)  # next integer point
-                if j == 1:
-                    cache.append(self._psi1_negt * 1.0)
-                else:
-                    cache.append(cache[-1] + self._quad_panel(float(j - 1), float(j)))
+        cache = self._i_enc
+        while len(cache) <= n:
+            j = len(cache)  # next integer point
+            if j == 1:
+                cache.append(self._psi1_negt * 1.0)
+            else:
+                cache.append(cache[-1] + self._quad_panel(float(j - 1), float(j)))
 
     # -- core quantities ---------------------------------------------------
 
@@ -99,20 +95,17 @@ class WeightEngine:
     def _ensure_sigma(self, n: int) -> None:
         if n <= len(self._sigma):
             return
-        with self._lock:
-            if n <= len(self._sigma):
-                return
-            self._ensure_integer_i(min(n, UNIT_CACHE_CAP))
-            m_const = self.consts.M
-            t = self.consts.t
-            while len(self._sigma) < n:
-                j = len(self._sigma) + 1
-                g_enc = self.g(float(j))
-                psit = Enclosure.from_libm(
-                    math.pow(self.schedule.psi(float(j)), t), ulps=8)
-                sig = g_enc / (psit * m_const)
-                self._sigma.append(sig)
-                self._sigma_prefix.append(self._sigma_prefix[-1] + sig)
+        self._ensure_integer_i(min(n, UNIT_CACHE_CAP))
+        m_const = self.consts.M
+        t = self.consts.t
+        while len(self._sigma) < n:
+            j = len(self._sigma) + 1
+            g_enc = self.g(float(j))
+            psit = Enclosure.from_libm(
+                math.pow(self.schedule.psi(float(j)), t), ulps=8)
+            sig = g_enc / (psit * m_const)
+            self._sigma.append(sig)
+            self._sigma_prefix.append(self._sigma_prefix[-1] + sig)
 
     def sigma(self, j: int) -> Enclosure:
         """Weight sigma_j = g(j) / (M * psi(j)^t)."""
@@ -222,36 +215,25 @@ class WeightEngine:
         """Witness constants for the stretched-exponential decay of g.
 
         Finds A2, A3 with A3^(1/t) * s^(1+p) <= psi(s) <= A2^(1/t) * s^(1+p)
-        for s >= x_on (the ratio psi(s)/s^(1+p) decreases to the power
-        coefficient), then A1 = exp(k * x_on^(1-q)/(A2*(1-q))), and checks
+        for s >= x_on, then A1 = exp(k * x_on^(1-q)/(A2*(1-q))), and checks
         0 < g(x) <= A1 * exp(-k * x^(1-q)/(A2*(1-q))) at each sample.  The
         bound extends below x_on because there the right side exceeds 1.
+        No sampling is needed for A2, A3: for s >= 1,
+        psi(s)/s^(1+p) = log(1/D) * s^(-p) + ca with ca the power
+        coefficient, so the ratio decreases strictly from its value at x_on
+        down to ca (below 1, psi is flat and the ratio decreases as well).
         """
         t = self.consts.t
         p = self.consts.p
         k = self.consts.k
         one_minus_q = 1.0 - self.consts.q
-
-        def ratio(s: float) -> float:
-            return self.schedule.psi(s) / math.pow(s, 1.0 + p)
-
-        r_on = ratio(x_on)
+        r_on = self.schedule.psi(x_on) / math.pow(x_on, 1.0 + p)
         a2 = math.pow(r_on, t)
         a3 = math.pow(self._ca, t)
-        # the ratio must sit inside [ca, ratio(x_on)] on [x_on, inf)
-        bracket_ok = True
-        bracket_samples = []
-        s = x_on
-        while s <= 1.0e6:
-            r = ratio(s)
-            ok = (self._ca * (1.0 - GUARD) <= r <= r_on * (1.0 + GUARD))
-            bracket_samples.append([s, r, bool(ok)])
-            bracket_ok = bracket_ok and ok
-            s *= 10.0
-        rate = k / (math.pow(r_on, t) * one_minus_q)
+        rate = k / (a2 * one_minus_q)
         a1 = math.exp(rate * math.pow(x_on, one_minus_q))
         samples = []
-        all_ok = bracket_ok
+        all_ok = True
         for x in x_samples:
             g_enc = self.g(float(x))
             bound = a1 * math.exp(-rate * math.pow(float(x), one_minus_q))
@@ -265,7 +247,6 @@ class WeightEngine:
             "A3": a3,
             "ratio_at_onset": r_on,
             "ratio_limit": self._ca,
-            "ratio_bracket_samples": bracket_samples,
             "samples": samples,
             "passed": bool(all_ok),
         }

@@ -86,7 +86,10 @@ def test_criterion_5_certificate_battery(ref_consts):
         assert eps["passed"]
         assert eps["range"].startswith("m in [3, 120]")
         assert eps["details"]["tail_certificate"]["passed"]
-        assert eps["details"]["dual_route_agreement"]
+        assert eps["details"]["tail_certificate"]["d_increasing"]
+        for name in ("partial-sum-brackets", "radius-bound"):
+            assert by_name[name]["passed"]
+            assert by_name[name]["range"].startswith("all m >= ")
         c1 = by_name["claim-1"]
         assert c1["passed"] and c1["range"] == "m in [1, 120]"
         assert c1["min_rel_margin"] > GUARD

@@ -71,8 +71,18 @@ def test_certify_reference_and_rerun_bytes(cfg_path, tmp_path):
     names = [r["name"] for r in payload["records"]]
     assert names == ["first-shell", "eps-condition",
                      "radius-recursion-closed-form", "partial-sum-brackets",
-                     "psi-majorant", "radius-power-bound",
-                     "claim-1", "claim-2", "lemma-decay"]
+                     "radius-bound", "claim-1", "claim-2", "lemma-decay"]
+
+
+def test_certify_small_L_fails_radius_bound(tmp_path, capsys):
+    # L = 0.9 is below the proved requirement of 1 at p = 1/4; the radius
+    # bound then breaks near m = 3400, past any finite sweep to m = 1000
+    p = write_cfg(tmp_path, L=0.9)
+    rc = cli.main(["certify", "--config", str(p)])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().out)
+    failing = [r["name"] for r in payload["records"] if not r["passed"]]
+    assert failing == ["radius-bound"]
 
 
 def test_certify_near_unit_m_fails_claim1(tmp_path, capsys):

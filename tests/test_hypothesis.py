@@ -5,15 +5,16 @@ computation."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peakfn import (Constants, HypothesisConstants, InfeasibleParametersError,
                     InvalidHypothesisError, adjust_C, adjust_t, choose_D,
                     choose_L, choose_M, derive_constants, derive_pq)
 from peakfn._kernels import choose_l_sweep
-from peakfn.hypothesis import (L_CANDIDATE, P_GRID, first_shell_margin,
-                               l_certificate)
+from peakfn.hypothesis import (L_CANDIDATE, P_GRID, bracket_certificate,
+                               eps_condition_report, eps_exponent_sides,
+                               first_shell_margin, l_certificate)
 
 
 REF = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=0.5, C=2.0)
@@ -104,6 +105,35 @@ def test_L_bound_agrees_with_sweep(p):
     assert 1.0 <= need <= 3.0 < L_CANDIDATE
     margin, arg = choose_l_sweep(2000, p, need * (1.0 + 1e-9))
     assert margin > 0.0, f"sweep fails at p={p}, m={arg}"
+
+
+@pytest.mark.parametrize("p,ok", [(0.25, True), (1e-9, True), (0.999, True),
+                                  (0.0, False), (1.0, False), (-0.5, False),
+                                  (1.0 - 1e-13, False)])
+def test_bracket_certificate_is_p_in_unit_interval(p, ok):
+    # a tie with either end of (0,1) fails, as every guarded check does
+    assert bracket_certificate(p)["passed"] is ok
+
+
+@given(alpha=st.floats(min_value=0.01, max_value=0.99),
+       s=st.floats(min_value=0.05, max_value=1.0),
+       t=st.floats(min_value=0.51, max_value=0.99),
+       big_a=st.floats(min_value=0.01, max_value=0.99),
+       big_m=st.floats(min_value=1.01, max_value=1000.0),
+       m_check=st.integers(min_value=3, max_value=200))
+@example(alpha=0.5, s=1.0, t=0.75, big_a=0.5, big_m=4.0, m_check=120)
+@settings(max_examples=200, deadline=None)
+def test_eps_tail_proof_holds_far_out(alpha, s, t, big_a, big_m, m_check):
+    # whenever the head and the closed-form tail pass, the inequality holds
+    # at m_check * 2^k far beyond any range the head loop visits
+    p, q = derive_pq(t, big_m)
+    rep = eps_condition_report(alpha, s, t, big_a, big_m, p, q, m_check)
+    if not rep["passed"]:
+        return
+    for k in range(31):
+        lhs, rhs = eps_exponent_sides(alpha, s, t, big_a, big_m, p, q,
+                                      m_check * 2 ** k)
+        assert rhs - lhs > 0.0, f"k={k}"
 
 
 def test_derive_constants_ref_bundle():

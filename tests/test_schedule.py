@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakfn import Schedule
+from peakfn._kernels import radius_bound_sweep
+from peakfn.certificates import check_schedule_identities
 from peakfn.errors import DomainError, InvalidParameterError
+from peakfn.hypothesis import P_GRID, bracket_certificate
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +64,14 @@ def test_psi_frozen_and_flat(sched):
 
 
 def test_psi_majorizes_radii(sched):
-    rep = sched.check_radius_majorant(1000)
-    assert rep["passed"]
-    assert rep["min_rel_margin"] > 0.0
+    # the all-m proof, and the recursion itself against psi up to m = 1000
+    rec = check_schedule_identities(sched)[2]
+    assert rec["name"] == "radius-bound" and rec["passed"]
+    c = sched.consts
+    margin, _ = radius_bound_sweep(1000, c.p, c.log_inv_D, c.log_inv_A, c.L)
+    assert margin > 0.0
+    for m in (1, 2, 10, 100, 1000):
+        assert sched.log_inv_radius(m) < sched.psi(float(m))
 
 
 def test_sum_brackets_ref(sched):
@@ -76,10 +84,12 @@ def test_sum_brackets_ref(sched):
         "sum_p_lower", "sum_p_upper"}
 
 
-@pytest.mark.parametrize("p", [round(0.05 * i, 2) for i in range(1, 20)])
+@pytest.mark.parametrize("p", P_GRID)
 def test_sum_brackets_p_grid(sched, p):
+    # the all-m proof passes wherever the direct sweep does
     rep = sched.check_sum_brackets(2000, p=p)
     assert rep["passed"], f"bracket failed at p={p}"
+    assert bracket_certificate(p)["passed"]
 
 
 def test_split_index(sched):
