@@ -11,7 +11,7 @@ from .enclosure import ComplexEnclosure, Enclosure
 from .errors import (BuildRefusedError, ConfigError, DomainError,
                      FamilyAuditError, InfeasibleParametersError,
                      InvalidHypothesisError, InvalidParameterError,
-                     PeakFnError, ToleranceFailureError)
+                     PeakFnError)
 from .families import (audit_family, disk_exponential_family, family_by_name,
                        make_grid, synthetic_family)
 from .hypothesis import (Constants, HypothesisConstants, adjust_C, adjust_t,
@@ -52,7 +52,6 @@ __all__ = [
     "PeakFnError",
     "PeakSeries",
     "Schedule",
-    "ToleranceFailureError",
     "WeightEngine",
     "active_backend",
     "adjust_C",

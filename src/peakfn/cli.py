@@ -18,7 +18,7 @@ import sys
 from . import certificates, families, series as series_mod
 from .config import Config, load_config, parse_grid
 from .errors import (BuildRefusedError, ConfigError, InfeasibleParametersError,
-                     PeakFnError, ToleranceFailureError)
+                     PeakFnError)
 from .hypothesis import GUARD, HypothesisConstants, derive_constants
 
 
@@ -115,8 +115,7 @@ def cmd_certify(cfg: Config, m_max, out_path) -> int:
     if m_max is None:
         m_max = cfg.m_max
     consts, _ = _derive_from_config(cfg)
-    report = certificates.run_all(consts, m_max=int(m_max),
-                                  quad_rel_tol=cfg.quad_rel_tol)
+    report = certificates.run_all(consts, m_max=int(m_max))
     payload = {"command": "certify", "m_max": int(m_max)}
     payload.update(report.to_dict())
     _emit(_json_text(payload), out_path)
@@ -130,8 +129,7 @@ def cmd_build(cfg: Config, terms, series_path, out_path) -> int:
     path = series_path or cfg.series
     if not path:
         raise ConfigError("build needs --series PATH (or 'series' in config)")
-    built = series_mod.build(fam, consts, n_terms=n,
-                             quad_rel_tol=cfg.quad_rel_tol, m_max=cfg.m_max)
+    built = series_mod.build(fam, consts, n_terms=n, m_max=cfg.m_max)
     series_mod.save_series(built, path)
     payload = {
         "command": "build",
@@ -209,8 +207,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.series, args.grid, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except (InfeasibleParametersError, BuildRefusedError,
-            ToleranceFailureError) as exc:
+    except (InfeasibleParametersError, BuildRefusedError) as exc:
         sys.stderr.write(f"peakfn: {exc}\n")
         return 2
     except (PeakFnError, ValueError, OSError) as exc:

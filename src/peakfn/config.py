@@ -16,8 +16,8 @@ from .errors import ConfigError
 GRID_KINDS = ("log", "linear")
 
 REQUIRED_KEYS = ("alpha", "s", "t", "A", "C")
-OPTIONAL_KEYS = ("D", "M", "L", "N", "quad_rel_tol", "family", "grid",
-                 "m_max", "series", "out")
+OPTIONAL_KEYS = ("D", "M", "L", "N", "family", "grid", "m_max", "series",
+                 "out")
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class Config:
     M: float | None = None
     L: float | None = None
     N: int = 100
-    quad_rel_tol: float = 1e-10
     family: str = "synthetic"
     grid: GridSpec = GridSpec("log", 1e-30, 1.0, 500)
     m_max: int = 120
@@ -125,11 +124,6 @@ def load_config(path) -> Config:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ConfigError("config key 'N' must be a positive integer")
         kwargs["N"] = n
-    if "quad_rel_tol" in data:
-        tol = _req_real(data, "quad_rel_tol")
-        if not (0.0 < tol <= 1e-4):
-            raise ConfigError("quad_rel_tol must be in (0, 1e-4]")
-        kwargs["quad_rel_tol"] = tol
     if "family" in data:
         fam = data["family"]
         if not isinstance(fam, str):

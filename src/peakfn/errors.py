@@ -21,14 +21,6 @@ class InfeasibleParametersError(PeakFnError):
         self.best_margin = best_margin
 
 
-class ToleranceFailureError(PeakFnError):
-    """A requested enclosure width could not be achieved."""
-
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class FamilyAuditError(PeakFnError):
     """A barrier family violated one of its claimed conditions."""
 

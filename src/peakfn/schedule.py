@@ -3,7 +3,7 @@
 Radii collapse double precision fast (under the reference constants r_m
 underflows near m = 85), so the schedule works exclusively in log(1/r).
 The epsilon sequence and the radius recursion share the cached partial
-sums S_k = sum_{j<=k} j^(p-1).
+sums S_k = sum_{j<=k} j^(p-1); the closed form also caches T_k = sum j^p.
 """
 
 from __future__ import annotations
@@ -29,16 +29,21 @@ class Schedule:
         # psi's power coefficient log(1/A)*L/(p(p+1))
         self._ca = consts.log_inv_A * consts.L / (consts.p * (consts.p + 1.0))
         self._psums: list[float] = []
+        self._tsums: list[float] = []
         self._lir: list[float] = [consts.log_inv_D]
 
     # -- cache growth --------------------------------------------------
 
-    def _ensure_psums(self, k: int) -> None:
-        if k <= len(self._psums):
-            return
-        n = max(k, 2 * len(self._psums), 16)
+    @staticmethod
+    def _grown(sums: list[float], k: int, e: float) -> list[float]:
+        """Prefix sums of j^e holding at least k terms."""
+        if k <= len(sums):
+            return sums
         # recomputing the full prefix gives the same floats as extending
-        self._psums = _kernels.pow_sums(n, self._p - 1.0)
+        return _kernels.pow_sums(max(k, 2 * len(sums), 16), e)
+
+    def _ensure_psums(self, k: int) -> None:
+        self._psums = self._grown(self._psums, k, self._p - 1.0)
 
     def _ensure_radii(self, m: int) -> None:
         if m <= len(self._lir):
@@ -85,7 +90,8 @@ class Schedule:
         if m == 1:
             return float(m) * self._lid
         s = self.pow_sum(m - 1)
-        tsum = _kernels.pow_sums(m - 1, self._p)[m - 2]
+        self._tsums = self._grown(self._tsums, m - 1, self._p)
+        tsum = self._tsums[m - 2]
         weighted = float(m) * s - tsum
         return float(m) * self._lid + self._lia * ((m - 1.0) + weighted)
 

@@ -50,7 +50,6 @@ class PeakSeries:
     family: BarrierFamily
     consts: Constants
     n_terms: int
-    quad_rel_tol: float
     sigma_head: list            # Enclosure, index j-1 for j = 1..N
     sigma_prefix_head: Enclosure
     tail_after_head: Enclosure
@@ -67,8 +66,7 @@ class PeakSeries:
     def engine(self) -> WeightEngine:
         # only needed when a point splits beyond the head
         if self._engine is None:
-            self._engine = WeightEngine(self.consts,
-                                        quad_rel_tol=self.quad_rel_tol)
+            self._engine = WeightEngine(self.consts)
         return self._engine
 
     def _ensure_barriers(self) -> None:
@@ -209,8 +207,7 @@ class PeakSeries:
 
 
 def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
-          quad_rel_tol: float = 1e-10, m_max: int = 120,
-          certificate_report=None, audit_report=None,
+          m_max: int = 120, certificate_report=None, audit_report=None,
           skip_checks: bool = False) -> PeakSeries:
     """Assemble a series after the certificate battery and family audit.
 
@@ -221,8 +218,7 @@ def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
         raise DomainError("n_terms must be at least 1")
     if not skip_checks:
         if certificate_report is None:
-            certificate_report = certificates.run_all(consts, m_max=m_max,
-                                                      quad_rel_tol=quad_rel_tol)
+            certificate_report = certificates.run_all(consts, m_max=m_max)
         if not certificate_report.passed:
             raise BuildRefusedError(
                 "certificate battery failed: "
@@ -233,7 +229,7 @@ def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
             raise BuildRefusedError(
                 f"family audit failed for {fam.name!r}: "
                 f"{len(audit_report.failures)} condition violations")
-    engine = WeightEngine(consts, quad_rel_tol=quad_rel_tol)
+    engine = WeightEngine(consts)
     sched = engine.schedule
     sigma_head = [engine.sigma(j) for j in range(1, n_terms + 1)]
     prefix = engine.sigma_prefix(n_terms)
@@ -242,8 +238,7 @@ def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
     lirs = [sched.log_inv_radius(j) for j in range(1, n_terms + 1)]
     lies = [sched.log_inv_eps(j) for j in range(1, n_terms + 1)]
     series = PeakSeries(
-        family=fam, consts=consts, n_terms=n_terms,
-        quad_rel_tol=quad_rel_tol, sigma_head=sigma_head,
+        family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
         sigma_prefix_head=prefix, tail_after_head=tail,
         normalizer=normalizer, log_inv_r=lirs, log_inv_eps=lies,
         _engine=engine)
@@ -267,7 +262,6 @@ def save_series(series: PeakSeries, path) -> None:
         "family": series.family.name,
         "constants": series.consts.to_dict(),
         "n_terms": series.n_terms,
-        "quad_rel_tol": series.quad_rel_tol,
         "sigma_head": [_enc_pair(e) for e in series.sigma_head],
         "sigma_prefix_head": _enc_pair(series.sigma_prefix_head),
         "tail_after_head": _enc_pair(series.tail_after_head),
@@ -296,7 +290,6 @@ def load_series(path) -> PeakSeries:
         series = PeakSeries(
             family=fam, consts=consts,
             n_terms=int(payload["n_terms"]),
-            quad_rel_tol=float(payload["quad_rel_tol"]),
             sigma_head=[Enclosure(lo, hi) for lo, hi in payload["sigma_head"]],
             sigma_prefix_head=Enclosure(*payload["sigma_prefix_head"]),
             tail_after_head=Enclosure(*payload["tail_after_head"]),

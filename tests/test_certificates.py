@@ -138,7 +138,8 @@ def test_claim2_frozen_margin(engine):
 def test_lemma_battery(engine):
     rec = check_lemma(engine)
     assert rec["passed"]
-    assert rec["max_relative_residual"] <= 1e-6
+    # the residual is a float consistency check, pinned in test_weights.py
+    assert set(rec["details"]) == {"decay_bound", "divergence"}
     assert rec["details"]["decay_bound"]["passed"]
     assert rec["details"]["divergence"]["passed"]
 

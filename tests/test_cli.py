@@ -109,6 +109,18 @@ def test_unknown_config_key(tmp_path):
     assert cli.main(["params", "--config", str(p)]) == 1
 
 
+@pytest.mark.parametrize("command", ["params", "certify", "build", "eval",
+                                     "verify"])
+def test_removed_quad_rel_tol_key(tmp_path, capsys, command):
+    # the quadrature width is fixed inside the kernel; the key is gone
+    p = write_cfg(tmp_path, quad_rel_tol=1e-10,
+                  series=str(tmp_path / "s.json"))
+    assert cli.main([command, "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown keys: ['quad_rel_tol']" in captured.err
+
+
 def test_usage_errors_exit_1(cfg_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate", "--config", str(cfg_path)])

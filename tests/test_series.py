@@ -163,6 +163,19 @@ def test_save_format_stable(ref_series, tmp_path):
     assert payload["family"] == "synthetic"
 
 
+def test_load_ignores_old_quad_rel_tol(ref_series, tmp_path):
+    # files written before the bracket quadrature carry quad_rel_tol
+    path = tmp_path / "old.json"
+    save_series(ref_series, path)
+    payload = json.loads(path.read_text())
+    assert "quad_rel_tol" not in payload
+    payload["quad_rel_tol"] = 1e-10
+    path.write_text(json.dumps(payload))
+    again = load_series(path)
+    assert again.sigma_head == ref_series.sigma_head
+    assert again.normalizer == ref_series.normalizer
+
+
 def test_load_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

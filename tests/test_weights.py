@@ -165,3 +165,15 @@ def test_mpmath_cross_check_I(ref_constants):
                               [0, 1, x] if x > 1 else [0, x]))
         enc = eng.integral_I(x)
         assert enc.contains(truth), f"x={x}: {enc} vs {truth}"
+
+
+def test_divergence_certificate_near_tie_fails(ref_constants):
+    # a minorant within 1e-13 of the measured increase is no certificate
+    eng = WeightEngine(ref_constants)
+    rec = eng.divergence_certificate()
+    scale = rec["measured_increase"] / rec["certified_minorant"] * (1 - 1e-13)
+    eng._psi1_negt = eng._psi1_negt * scale
+    tie = eng.divergence_certificate()
+    assert tie["certified_minorant"] == pytest.approx(
+        tie["measured_increase"], rel=1e-12)
+    assert not tie["passed"]
