@@ -164,7 +164,7 @@ def check_lemma(engine: WeightEngine) -> dict:
     divergence = engine.divergence_certificate()
     return {
         "name": "lemma-decay",
-        "range": "decay samples; divergence over [s1, s2]",
+        "range": "decay bound for all x >= 0; divergence over [s1, s2]",
         "guard": GUARD,
         "passed": bool(decay["passed"] and divergence["passed"]),
         "details": {

@@ -148,7 +148,18 @@ def _load_for_grid(cfg: Config, series_path, grid_arg):
     if not path:
         raise ConfigError("need --series PATH (or 'series' in config); "
                           "run build first")
+    consts, _ = _derive_from_config(cfg)
     ser = series_mod.load_series(path)
+    if ser.family.name != cfg.family:
+        raise ConfigError(
+            f"series file {path!r} is for family {ser.family.name!r}, "
+            f"the config names {cfg.family!r}")
+    if ser.consts != consts:
+        mine, theirs = consts.to_dict(), ser.consts.to_dict()
+        differ = [k for k in mine if mine[k] != theirs[k]]
+        raise ConfigError(
+            f"series file {path!r} was built from other constants than the "
+            f"config's: {', '.join(differ)} differ")
     grid = parse_grid(grid_arg) if grid_arg else cfg.grid
     points = families.make_grid(ser.family, *grid.as_tuple())
     return ser, points
@@ -169,13 +180,12 @@ def cmd_eval(cfg: Config, series_path, grid_arg, out_path) -> int:
     lines = ["y,F_re_lo,F_re_hi,F_im_lo,F_im_hi,absF_hi,case,m_of_y"]
     for y in points:
         res = ser.evaluate(y)
-        label = ser.classify(y)
         lines.append(",".join([
             _fmt_point(res.point),
             _fmt(res.F.re.lo), _fmt(res.F.re.hi),
             _fmt(res.F.im.lo), _fmt(res.F.im.hi),
             _fmt(res.abs_F.hi),
-            str(label),
+            str(res.case),
             str(res.m_of_y),
         ]))
     _emit("\n".join(lines) + "\n", out_path)

@@ -16,8 +16,7 @@ from .errors import ConfigError
 GRID_KINDS = ("log", "linear")
 
 REQUIRED_KEYS = ("alpha", "s", "t", "A", "C")
-OPTIONAL_KEYS = ("D", "M", "L", "N", "family", "grid", "m_max", "series",
-                 "out")
+OPTIONAL_KEYS = ("D", "M", "L", "N", "family", "grid", "m_max", "series")
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,6 @@ class Config:
     grid: GridSpec = GridSpec("log", 1e-30, 1.0, 500)
     m_max: int = 120
     series: str | None = None
-    out: str | None = None
 
 
 def parse_grid(spec: str) -> GridSpec:
@@ -136,10 +134,9 @@ def load_config(path) -> Config:
         if isinstance(mm, bool) or not isinstance(mm, int) or mm < 3:
             raise ConfigError("config key 'm_max' must be an integer >= 3")
         kwargs["m_max"] = mm
-    for k in ("series", "out"):
-        if k in data:
-            v = data[k]
-            if not isinstance(v, str):
-                raise ConfigError(f"config key {k!r} must be a path string")
-            kwargs[k] = v
+    if "series" in data:
+        v = data["series"]
+        if not isinstance(v, str):
+            raise ConfigError("config key 'series' must be a path string")
+        kwargs["series"] = v
     return Config(**kwargs)

@@ -15,21 +15,16 @@ from dataclasses import dataclass
 
 _INF = math.inf
 
-# ulps of outward padding per endpoint per operation; 2 covers the <= 1 ulp
-# error of +,-,*,/ and of libm exp/pow with room to spare
-_PAD_STEPS = 2
+# every operation pads each endpoint outward by 2 ulps, which covers the
+# <= 1 ulp error of +,-,*,/ and of libm exp/pow with room to spare
 
 
 def _down(x: float) -> float:
-    for _ in range(_PAD_STEPS):
-        x = math.nextafter(x, -_INF)
-    return x
+    return math.nextafter(math.nextafter(x, -_INF), -_INF)
 
 
 def _up(x: float) -> float:
-    for _ in range(_PAD_STEPS):
-        x = math.nextafter(x, _INF)
-    return x
+    return math.nextafter(math.nextafter(x, _INF), _INF)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +159,6 @@ class Enclosure:
 
 
 ZERO = Enclosure(0.0, 0.0)
-ONE = Enclosure(1.0, 1.0)
 
 
 @dataclass(frozen=True, slots=True)

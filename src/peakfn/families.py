@@ -89,14 +89,9 @@ class BarrierFamily:
     C: float
     exact_off_value: float | None  # constant value off the ball, if any
     min_log_inv_r: float  # radii restricted to r <= exp(-min_log_inv_r)
-    radius_model: str
     _make: Callable[[float], Barrier]
     default_audit_radii: tuple = field(default=())
     default_audit_grid: int = 1000
-
-    @property
-    def exact_off_neighborhood(self) -> bool:
-        return self.exact_off_value is not None
 
     def barrier(self, log_inv_r: float) -> Barrier:
         if not (log_inv_r >= self.min_log_inv_r - 1e-12):
@@ -163,7 +158,6 @@ def synthetic_family(h) -> BarrierFamily:
         alpha=alpha, s=s, t=t, A=big_a, C=big_c,
         exact_off_value=alpha,
         min_log_inv_r=math.log(10.0),
-        radius_model="exact",
         _make=make,
         default_audit_radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
         default_audit_grid=1000,
@@ -227,7 +221,6 @@ def disk_exponential_family(alpha: float, h=None) -> BarrierFamily:
         alpha=alpha, s=s, t=t, A=big_a, C=big_c,
         exact_off_value=None,
         min_log_inv_r=math.log(1.0 / 0.2),
-        radius_model="exact",
         _make=make,
         default_audit_radii=(0.05, 0.1, 0.2),
         default_audit_grid=10_000,

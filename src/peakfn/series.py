@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from . import certificates, families
 from .enclosure import ComplexEnclosure, Enclosure
-from .errors import BuildRefusedError, ConfigError, DomainError
+from .errors import (BuildRefusedError, ConfigError, DomainError,
+                     FamilyAuditError)
 from .hypothesis import GUARD, Constants
 from .families import BarrierFamily
 from .weights import WeightEngine
@@ -32,6 +33,7 @@ class EvalResult:
     m_of_y: int          # min m with r_m <= |y - x|; 0 at the peak itself
     F: ComplexEnclosure
     abs_F: Enclosure
+    case: CaseLabel | None   # None at the peak itself
 
 
 @dataclass(frozen=True)
@@ -56,23 +58,13 @@ class PeakSeries:
     normalizer: Enclosure
     log_inv_r: list             # float, j = 1..N
     log_inv_eps: list           # float, j = 1..N
-    barriers: list = field(default_factory=list)
-    _engine: WeightEngine | None = field(default=None, repr=False)
+    engine: WeightEngine = field(repr=False)
+    barriers: list = field(repr=False)     # Barrier, j = 1..N
+    thresholds: list = field(repr=False)   # 1 + eps_j^s, j = 1..N
 
     @property
     def peak(self) -> complex:
         return self.family.domain.peak
-
-    def engine(self) -> WeightEngine:
-        # only needed when a point splits beyond the head
-        if self._engine is None:
-            self._engine = WeightEngine(self.consts)
-        return self._engine
-
-    def _ensure_barriers(self) -> None:
-        if not self.barriers:
-            self.barriers = [self.family.barrier(lir)
-                             for lir in self.log_inv_r]
 
     def split_index(self, y: complex) -> int:
         """Smallest m with r_m <= |y - x|, as Schedule.split_index; 0 flags
@@ -80,74 +72,70 @@ class PeakSeries:
         d = self.family.domain.distance_to_peak(y)
         if d == 0.0:
             return 0
-        return self.engine().schedule.split_index(-math.log(d))
+        return self.engine.schedule.split_index(-math.log(d))
 
     def evaluate(self, y: complex) -> EvalResult:
+        """Enclosure of F(y) and the case label of y, from one evaluation
+        of each head barrier."""
         y = self.family.domain.require(y)
-        self._ensure_barriers()
-        if complex(y) == complex(self.peak):
-            f_enc = self.normalizer / self.normalizer
-            cenc = ComplexEnclosure(re=f_enc, im=Enclosure.exact(0.0))
-            return EvalResult(point=complex(y), m_of_y=0, F=cenc,
-                              abs_F=cenc.abs_bounds())
         m = self.split_index(y)
         num = ComplexEnclosure.from_point(0.0 + 0.0j)
         eval_pad = 0.0
-        for j in range(1, self.n_terms + 1):
-            fval = complex(self.barriers[j - 1].func(y))
-            num = num.add_scaled(self.sigma_head[j - 1], fval)
-            eval_pad += self.sigma_head[j - 1].hi * abs(fval) * BARRIER_EVAL_REL
+        running = 0.0        # max of |f_j(y)| over the head so far
+        lowest = math.inf    # min_j |f_j(y)|
+        member_m = None      # first m with y in W_m
+        for j, (sig, bar, thr) in enumerate(
+                zip(self.sigma_head, self.barriers, self.thresholds), 1):
+            fval = complex(bar.func(y))
+            mod = abs(fval)
+            num = num.add_scaled(sig, fval)
+            eval_pad += sig.hi * mod * BARRIER_EVAL_REL
+            running = max(running, mod)
+            lowest = min(lowest, mod)
+            if member_m is None and running >= thr:
+                member_m = j
         if eval_pad > 0.0:
             num = num.widen(eval_pad)
+        alpha_tol = self.consts.alpha + GUARD * max(1.0, self.consts.alpha)
+        if m == 0:
+            case = None
+        elif member_m is not None:
+            case = CaseLabel(
+                "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
+        elif running < self.thresholds[-1] and lowest <= alpha_tol:
+            case = CaseLabel("outside-all-W")
+        else:
+            case = CaseLabel("head-exhausted")
         start = self.n_terms + 1
         if m > start:
             # indices past the head but before the split: on-ball ceiling
             # C log^t(1/r_j) <= C psi(j)^t, and sigma_j C psi^t = (C/M) g(j)
-            eng = self.engine()
             disc = 0.0
             for j in range(start, m):
-                disc += (self.consts.C / self.consts.M) * eng.g(j).hi
+                disc += (self.consts.C / self.consts.M) * self.engine.g(j).hi
             num = num.widen(disc)
         far_start = max(m, start)
         if far_start == start:
             far_tail = self.tail_after_head
         else:
-            far_tail = self.engine().tail(far_start - 1)
+            far_tail = self.engine.tail(far_start - 1)
         off = self.family.exact_off_value
-        if off is not None:
+        if m == 0:
+            # every f_j is 1 at the peak by condition (1)
+            num = num + ComplexEnclosure.from_real(far_tail)
+        elif off is not None:
             num = num + ComplexEnclosure.from_real(far_tail * off)
         else:
             num = num.widen(self.consts.alpha * far_tail.hi)
         f_enc = num.div_real(self.normalizer)
-        return EvalResult(point=complex(y), m_of_y=m, F=f_enc,
-                          abs_F=f_enc.abs_bounds())
+        return EvalResult(point=y, m_of_y=m, F=f_enc,
+                          abs_F=f_enc.abs_bounds(), case=case)
 
     def classify(self, y: complex) -> CaseLabel:
-        y = self.family.domain.require(y)
-        if complex(y) == complex(self.peak):
+        """Case label of an off-peak point; see evaluate."""
+        if self.family.domain.require(y) == self.peak:
             raise DomainError("classification applies off the peak point")
-        self._ensure_barriers()
-        vals = []
-        running = 0.0
-        member_m = None
-        for j in range(1, self.n_terms + 1):
-            mod = abs(self.barriers[j - 1].func(y))
-            vals.append(mod)
-            running = max(running, mod)
-            eps_pow = math.exp(-self.consts.s * self.log_inv_eps[j - 1])
-            if member_m is None and running >= 1.0 + eps_pow:
-                member_m = j
-        if member_m == 1:
-            return CaseLabel(kind="in-W1", m=1)
-        if member_m is not None:
-            return CaseLabel(kind="in-Wm-not-before", m=member_m)
-        eps_n = math.exp(-self.consts.s * self.log_inv_eps[-1])
-        below_all = running < 1.0 + eps_n
-        alpha_tol = self.consts.alpha + GUARD * max(1.0, self.consts.alpha)
-        off_witness = any(v <= alpha_tol for v in vals)
-        if below_all and off_witness:
-            return CaseLabel(kind="outside-all-W")
-        return CaseLabel(kind="head-exhausted")
+        return self.evaluate(y).case
 
     def verify_peak(self, grid) -> dict:
         """Certify |F(y)| < 1 at every grid point and F(x) around 1.
@@ -170,13 +158,12 @@ class PeakSeries:
             if complex(y) == peak:
                 raise DomainError("verification grid must exclude the peak")
             res = self.evaluate(y)
-            label = self.classify(y)
             margin = 1.0 - res.abs_F.hi
             per_point.append({
                 "y": _point_repr(res.point),
                 "abs_hi": res.abs_F.hi,
                 "margin": margin,
-                "case": str(label),
+                "case": str(res.case),
                 "m_of_y": res.m_of_y,
             })
             if margin < min_margin:
@@ -207,43 +194,47 @@ class PeakSeries:
 
 
 def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
-          m_max: int = 120, certificate_report=None, audit_report=None,
-          skip_checks: bool = False) -> PeakSeries:
+          m_max: int = 120, certificate_report=None,
+          audit_report=None) -> PeakSeries:
     """Assemble a series after the certificate battery and family audit.
 
     Precomputed reports may be passed in to avoid repeating the work; the
     build refuses whenever either gate fails.
     """
+    if certificate_report is None:
+        certificate_report = certificates.run_all(consts, m_max=m_max)
+    if not certificate_report.passed:
+        raise BuildRefusedError(
+            "certificate battery failed: "
+            + ", ".join(certificate_report.failing()))
+    if audit_report is None:
+        audit_report = families.audit_family(fam)
+    if not audit_report.passed:
+        raise BuildRefusedError(
+            f"family audit failed for {fam.name!r}: "
+            f"{len(audit_report.failures)} condition violations")
+    return _assemble(fam, consts, n_terms)
+
+
+def _assemble(fam: BarrierFamily, consts: Constants,
+              n_terms: int) -> PeakSeries:
+    """The series of fam and consts with an N-term head; build gates it,
+    load_series rebuilds a file through it."""
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
-    if not skip_checks:
-        if certificate_report is None:
-            certificate_report = certificates.run_all(consts, m_max=m_max)
-        if not certificate_report.passed:
-            raise BuildRefusedError(
-                "certificate battery failed: "
-                + ", ".join(certificate_report.failing()))
-        if audit_report is None:
-            audit_report = families.audit_family(fam)
-        if not audit_report.passed:
-            raise BuildRefusedError(
-                f"family audit failed for {fam.name!r}: "
-                f"{len(audit_report.failures)} condition violations")
     engine = WeightEngine(consts)
     sched = engine.schedule
     sigma_head = [engine.sigma(j) for j in range(1, n_terms + 1)]
     prefix = engine.sigma_prefix(n_terms)
     tail = engine.tail(n_terms)
-    normalizer = prefix + tail
     lirs = [sched.log_inv_radius(j) for j in range(1, n_terms + 1)]
     lies = [sched.log_inv_eps(j) for j in range(1, n_terms + 1)]
-    series = PeakSeries(
+    return PeakSeries(
         family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
         sigma_prefix_head=prefix, tail_after_head=tail,
-        normalizer=normalizer, log_inv_r=lirs, log_inv_eps=lies,
-        _engine=engine)
-    series._ensure_barriers()
-    return series
+        normalizer=prefix + tail, log_inv_r=lirs, log_inv_eps=lies,
+        engine=engine, barriers=[fam.barrier(lir) for lir in lirs],
+        thresholds=[1.0 + math.exp(-consts.s * lie) for lie in lies])
 
 
 def _point_repr(z: complex):
@@ -256,8 +247,8 @@ def _enc_pair(e: Enclosure) -> list:
     return [e.lo, e.hi]
 
 
-def save_series(series: PeakSeries, path) -> None:
-    payload = {
+def _payload(series: PeakSeries) -> dict:
+    return {
         "format": SERIES_FORMAT,
         "family": series.family.name,
         "constants": series.consts.to_dict(),
@@ -269,38 +260,48 @@ def save_series(series: PeakSeries, path) -> None:
         "log_inv_r": series.log_inv_r,
         "log_inv_eps": series.log_inv_eps,
     }
+
+
+def save_series(series: PeakSeries, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_payload(series), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_series(path) -> PeakSeries:
+    """Rebuild the series a file names and refuse it unless the file holds
+    exactly the rebuilt numbers.
+
+    Only format, family, constants and n_terms are read as inputs; the
+    weights, tail, normalizer and schedule in the file must equal the
+    rebuild's, so a file written where libm rounds differently is refused.
+    The certificate battery and the family audit are not rerun.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read series file {path!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"series file {path!r} must be a JSON object")
     if payload.get("format") != SERIES_FORMAT:
         raise ConfigError(
             f"unsupported series format {payload.get('format')!r}; "
             f"expected {SERIES_FORMAT!r}")
+    # written by versions that still had an adjustable quadrature tolerance
+    payload.pop("quad_rel_tol", None)
     try:
         consts = Constants.from_dict(payload["constants"])
         fam = families.family_by_name(payload["family"], consts)
-        series = PeakSeries(
-            family=fam, consts=consts,
-            n_terms=int(payload["n_terms"]),
-            sigma_head=[Enclosure(lo, hi) for lo, hi in payload["sigma_head"]],
-            sigma_prefix_head=Enclosure(*payload["sigma_prefix_head"]),
-            tail_after_head=Enclosure(*payload["tail_after_head"]),
-            normalizer=Enclosure(*payload["normalizer"]),
-            log_inv_r=[float(v) for v in payload["log_inv_r"]],
-            log_inv_eps=[float(v) for v in payload["log_inv_eps"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        series = _assemble(fam, consts, int(payload["n_terms"]))
+    except (KeyError, TypeError, ValueError, ArithmeticError,
+            FamilyAuditError) as exc:
         raise ConfigError(f"malformed series file {path!r}: {exc}") from exc
-    if len(series.sigma_head) != series.n_terms:
+    rebuilt = _payload(series)
+    differ = sorted(k for k in set(rebuilt) | set(payload)
+                    if rebuilt.get(k) != payload.get(k))
+    if differ:
         raise ConfigError(
-            f"series file {path!r} head length does not match n_terms")
-    series._ensure_barriers()
+            f"series file {path!r} does not match the rebuild from its "
+            f"constants: {', '.join(differ)} differ")
     return series

@@ -2,6 +2,7 @@
 determinism of every emitted artifact."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -109,16 +110,25 @@ def test_unknown_config_key(tmp_path):
     assert cli.main(["params", "--config", str(p)]) == 1
 
 
-@pytest.mark.parametrize("command", ["params", "certify", "build", "eval",
-                                     "verify"])
-def test_removed_quad_rel_tol_key(tmp_path, capsys, command):
-    # the quadrature width is fixed inside the kernel; the key is gone
-    p = write_cfg(tmp_path, quad_rel_tol=1e-10,
-                  series=str(tmp_path / "s.json"))
+COMMANDS = ["params", "certify", "build", "eval", "verify"]
+
+
+# quad_rel_tol: the quadrature width is fixed inside the kernel; out: the
+# report path is the --out flag, and the key was never read
+@pytest.mark.parametrize("key,value,command", [
+    *(pytest.param("quad_rel_tol", 1e-10, c, id=c) for c in COMMANDS),
+    *(pytest.param("out", "cfgout.json", c, id=f"out-{c}")
+      for c in COMMANDS),
+])
+def test_removed_quad_rel_tol_key(tmp_path, capsys, monkeypatch, key, value,
+                                  command):
+    monkeypatch.chdir(tmp_path)
+    p = write_cfg(tmp_path, **{key: value}, series=str(tmp_path / "s.json"))
     assert cli.main([command, "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unknown keys: ['quad_rel_tol']" in captured.err
+    assert f"unknown keys: [{key!r}]" in captured.err
+    assert not (tmp_path / "cfgout.json").exists()
 
 
 def test_usage_errors_exit_1(cfg_path):
@@ -197,6 +207,46 @@ class TestPipeline:
         assert payload["min_margin"] > 0.0
         assert payload["max_abs_hi"] < 1.0
         assert payload["peak_enclosure"]["contains_one"] is True
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("tamper", ["triple-all", "one-ulp"])
+    def test_tampered_series_refused(self, built, tmp_path, capsys,
+                                     command, tamper):
+        cfg, ser, _ = built
+        payload = json.loads(ser.read_text())
+        if tamper == "triple-all":
+            payload["sigma_head"] = [[3.0 * lo, 3.0 * hi]
+                                     for lo, hi in payload["sigma_head"]]
+        else:
+            lo, hi = payload["sigma_head"][0]
+            payload["sigma_head"][0] = [math.nextafter(lo, 0.0), hi]
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli.main([command, "--config", str(cfg), "--series", str(bad),
+                       "--grid", "log:1e-6:1.0:5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "does not match the rebuild" in captured.err
+        assert "sigma_head differ" in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("extra,named", [
+        pytest.param({"alpha": 0.9}, "built from other constants than the "
+                     "config's: alpha, D, k differ", id="alpha-0.9"),
+        pytest.param({"family": "disk-exp"}, "is for family 'synthetic', "
+                     "the config names 'disk-exp'", id="disk-exp"),
+    ])
+    def test_mismatching_config_refused(self, built, tmp_path, capsys,
+                                        command, extra, named):
+        _, ser, _ = built
+        cfg = write_cfg(tmp_path, **extra)
+        rc = cli.main([command, "--config", str(cfg), "--series", str(ser),
+                       "--grid", "log:1e-6:1.0:5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_eval_bad_grid(self, built):
         cfg, ser, _ = built

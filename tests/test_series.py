@@ -1,6 +1,7 @@
 """Series assembly, certified evaluation, case classification, grid
 verification, and serialization round-trips."""
 
+import dataclasses
 import json
 import math
 
@@ -29,9 +30,38 @@ def test_build_shape(ref_series, ref_constants):
 def test_evaluate_at_peak(ref_series):
     res = ref_series.evaluate(0.0)
     assert res.m_of_y == 0
+    assert res.case is None
     assert res.F.re.contains(1.0)
     assert res.F.im.contains(0.0)
     assert res.F.re.width < 1e-3
+
+
+def test_peak_enclosure_comes_from_the_sum(ref_series):
+    # the peak value sums sigma_j f_j(x) = sigma_j; a wrong head shows there
+    tripled = dataclasses.replace(
+        ref_series, sigma_head=[e * 3.0 for e in ref_series.sigma_head])
+    res = tripled.evaluate(0.0)
+    assert not res.F.re.contains(1.0)
+    assert res.F.re.lo > 1.1
+
+
+def test_verify_peak_calls_each_barrier_once_per_point(ref_series):
+    calls = [0] * ref_series.n_terms
+
+    def counted(j, func):
+        def wrapper(z):
+            calls[j] += 1
+            return func(z)
+        return wrapper
+
+    ser = dataclasses.replace(ref_series, barriers=[
+        dataclasses.replace(b, func=counted(j, b.func))
+        for j, b in enumerate(ref_series.barriers)])
+    k = 7
+    rep = ser.verify_peak(("log", 1e-20, 1.0, k))
+    assert rep["passed"]
+    # k grid points plus the peak
+    assert calls == [k + 1] * ref_series.n_terms
 
 
 def test_evaluate_forced_region(ref_series):
@@ -176,6 +206,29 @@ def test_load_ignores_old_quad_rel_tol(ref_series, tmp_path):
     assert again.normalizer == ref_series.normalizer
 
 
+@pytest.mark.parametrize("tamper,named", [
+    ("triple-all", "sigma_head differ"),
+    ("one-ulp", "sigma_head differ"),
+    ("n_terms-99", "log_inv_eps, log_inv_r, normalizer, sigma_head, "
+                   "sigma_prefix_head, tail_after_head differ"),
+], ids=["triple-all", "one-ulp", "n_terms-99"])
+def test_load_refuses_tampered_head(ref_series, tmp_path, tamper, named):
+    path = tmp_path / "series.json"
+    save_series(ref_series, path)
+    payload = json.loads(path.read_text())
+    if tamper == "triple-all":
+        payload["sigma_head"] = [[3.0 * lo, 3.0 * hi]
+                                 for lo, hi in payload["sigma_head"]]
+    elif tamper == "one-ulp":
+        lo, hi = payload["sigma_head"][41]
+        payload["sigma_head"][41] = [lo, math.nextafter(hi, math.inf)]
+    else:
+        payload["n_terms"] = 99
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=named):
+        load_series(path)
+
+
 def test_load_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -187,6 +240,26 @@ def test_load_rejects_malformed(tmp_path):
         load_series(wrong)
     with pytest.raises(ConfigError):
         load_series(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("edit", [
+    {"family": "nonesuch"},
+    {"n_terms": "many"},
+    {"constants": {"alpha": 0.5}},
+    # p = 0 divides by zero in the schedule's power coefficient
+    {"p": 0.0},
+], ids=["family", "n_terms", "constants", "p-zero"])
+def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
+    path = tmp_path / "series.json"
+    save_series(ref_series, path)
+    payload = json.loads(path.read_text())
+    if "p" in edit:
+        payload["constants"].update(edit)
+    else:
+        payload.update(edit)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="malformed series file"):
+        load_series(path)
 
 
 @pytest.fixture(scope="module")
