@@ -181,7 +181,8 @@ class ComplexEnclosure:
         return ComplexEnclosure(self.re + other.re, self.im + other.im)
 
     def add_scaled(self, enc: Enclosure, z: complex) -> "ComplexEnclosure":
-        """Box for self + enc * z (the head-sum accumulation step)."""
+        """Box for self + enc * z: one step of the per-term head sum, kept
+        as the reference the tests check PeakSeries.evaluate against."""
         z = complex(z)
         return ComplexEnclosure(self.re + enc * z.real, self.im + enc * z.imag)
 

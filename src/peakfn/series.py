@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import certificates, families
 from .enclosure import ComplexEnclosure, Enclosure
 from .errors import (BuildRefusedError, ConfigError, DomainError,
@@ -25,6 +27,10 @@ SERIES_FORMAT = "peakfn-series/1"
 
 # relative slack granted to direct libm evaluation of a barrier callable
 BARRIER_EVAL_REL = 1e-12
+
+# unit roundoff of binary64, and the spacing of its subnormals
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
 
 
 @dataclass
@@ -60,7 +66,17 @@ class PeakSeries:
     log_inv_eps: list           # float, j = 1..N
     engine: WeightEngine = field(repr=False)
     barriers: list = field(repr=False)     # Barrier, j = 1..N
-    thresholds: list = field(repr=False)   # 1 + eps_j^s, j = 1..N
+    # derived from the fields above, so dataclasses.replace recomputes them
+    sigma_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    thresholds: np.ndarray = field(          # 1 + eps_j^s, j = 1..N
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sigma_lo = np.array([e.lo for e in self.sigma_head])
+        self.sigma_hi = np.array([e.hi for e in self.sigma_head])
+        self.thresholds = np.array([1.0 + math.exp(-self.consts.s * lie)
+                                    for lie in self.log_inv_eps])
 
     @property
     def peak(self) -> complex:
@@ -76,33 +92,36 @@ class PeakSeries:
 
     def evaluate(self, y: complex) -> EvalResult:
         """Enclosure of F(y) and the case label of y, from one evaluation
-        of each head barrier."""
+        of each head barrier.
+
+        The head sum sum_j [sigma_j] f_j(y) is two interval dot products
+        (real and imaginary parts; see _dot) widened by the barrier pad
+        BARRIER_EVAL_REL * sum_j sigma_j.hi |f_j(y)|; the pad, like the
+        ceiling of the indices between the head and the split, is an fsum
+        rounded up, so it bounds the exact sum of its float terms.
+        """
         y = self.family.domain.require(y)
         m = self.split_index(y)
-        num = ComplexEnclosure.from_point(0.0 + 0.0j)
-        eval_pad = 0.0
-        running = 0.0        # max of |f_j(y)| over the head so far
-        lowest = math.inf    # min_j |f_j(y)|
-        member_m = None      # first m with y in W_m
-        for j, (sig, bar, thr) in enumerate(
-                zip(self.sigma_head, self.barriers, self.thresholds), 1):
-            fval = complex(bar.func(y))
-            mod = abs(fval)
-            num = num.add_scaled(sig, fval)
-            eval_pad += sig.hi * mod * BARRIER_EVAL_REL
-            running = max(running, mod)
-            lowest = min(lowest, mod)
-            if member_m is None and running >= thr:
-                member_m = j
-        if eval_pad > 0.0:
-            num = num.widen(eval_pad)
+        vals = np.array([bar.func(y) for bar in self.barriers], dtype=complex)
+        # hypot of the parts is what abs() of a Python complex computes;
+        # np.abs of a complex array can differ from it in the last bit
+        mods = np.hypot(vals.real, vals.imag)
+        num = ComplexEnclosure(
+            _dot(self.sigma_lo, self.sigma_hi, vals.real),
+            _dot(self.sigma_lo, self.sigma_hi, vals.imag))
+        num = num.widen(
+            _sum_up((self.sigma_hi * mods * BARRIER_EVAL_REL).tolist()))
+        # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s
+        running = np.maximum.accumulate(mods)
+        hits = np.flatnonzero(running >= self.thresholds)
         alpha_tol = self.consts.alpha + GUARD * max(1.0, self.consts.alpha)
         if m == 0:
             case = None
-        elif member_m is not None:
+        elif hits.size:
+            member_m = int(hits[0]) + 1
             case = CaseLabel(
                 "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
-        elif running < self.thresholds[-1] and lowest <= alpha_tol:
+        elif running[-1] < self.thresholds[-1] and mods.min() <= alpha_tol:
             case = CaseLabel("outside-all-W")
         else:
             case = CaseLabel("head-exhausted")
@@ -110,10 +129,9 @@ class PeakSeries:
         if m > start:
             # indices past the head but before the split: on-ball ceiling
             # C log^t(1/r_j) <= C psi(j)^t, and sigma_j C psi^t = (C/M) g(j)
-            disc = 0.0
-            for j in range(start, m):
-                disc += (self.consts.C / self.consts.M) * self.engine.g(j).hi
-            num = num.widen(disc)
+            ratio = self.consts.C / self.consts.M
+            num = num.widen(_sum_up(
+                [ratio * self.engine.g(j).hi for j in range(start, m)]))
         far_start = max(m, start)
         if far_start == start:
             far_tail = self.tail_after_head
@@ -233,8 +251,35 @@ def _assemble(fam: BarrierFamily, consts: Constants,
         family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
         sigma_prefix_head=prefix, tail_after_head=tail,
         normalizer=prefix + tail, log_inv_r=lirs, log_inv_eps=lies,
-        engine=engine, barriers=[fam.barrier(lir) for lir in lirs],
-        thresholds=[1.0 + math.exp(-consts.s * lie) for lie in lies])
+        engine=engine, barriers=[fam.barrier(lir) for lir in lirs])
+
+
+def _sum_up(terms) -> float:
+    """Upper bound on the exact sum of the float terms: fsum rounds that
+    sum to nearest, so one step up covers it, whatever the terms' order."""
+    return math.nextafter(math.fsum(terms), math.inf)
+
+
+def _dot(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> Enclosure:
+    """Enclosure of sum_j [lo_j, hi_j] * vals_j for float arrays.
+
+    Each product takes the endpoint that makes it smallest (for the lower
+    sum) or largest (for the upper) at the sign of vals_j.  A product
+    rounded to nearest is off by at most u|p| + 2^-1075, u = 2^-53, the
+    second term for a subnormal product, and |p| may be the rounded
+    product; fsum is correctly rounded, off by at most u sum_j |p_j|.  So
+    each sum is within 2u sum_j |p_j| + 2^-1075 per nonzero value of the
+    exact one, and the radius 3u sum_j |p_j| + 2^-1074 per nonzero value,
+    with sum_j |p_j| summed up and the radius rounded up, covers it
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
+    """
+    pos = vals >= 0.0
+    p_lo = np.where(pos, lo, hi) * vals
+    p_hi = np.where(pos, hi, lo) * vals
+    mag = _sum_up(np.maximum(np.abs(p_lo), np.abs(p_hi)).tolist())
+    rad = 3.0 * _U * mag + _TINY * np.count_nonzero(vals)
+    return Enclosure(math.fsum(p_lo.tolist()), math.fsum(p_hi.tolist())
+                     ).widen(math.nextafter(rad, math.inf))
 
 
 def _point_repr(z: complex):

@@ -4,14 +4,21 @@ verification, and serialization round-trips."""
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peakfn
 from peakfn import Constants, build, load_series, make_grid, save_series, \
     synthetic_family
+from peakfn.enclosure import ComplexEnclosure
 from peakfn.errors import BuildRefusedError, ConfigError, DomainError
-from peakfn.series import SERIES_FORMAT
+from peakfn.hypothesis import GUARD
+from peakfn.series import (BARRIER_EVAL_REL, SERIES_FORMAT, CaseLabel,
+                           EvalResult, _dot)
 
 
 def test_build_shape(ref_series, ref_constants):
@@ -307,3 +314,189 @@ def test_split_index_beyond_head(ref_constants):
     assert res.m_of_y > 4
     assert res.abs_F.hi < 1.0
     assert res.F.re.contains(0.5) or res.abs_F.hi < 0.7
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
+                                                n):
+    # evaluate widens the head box by the barrier pad and, past the head, by
+    # the ceiling sum_{N < j < m} (C/M) g(j).hi; each must be at least the
+    # exact sum of its float terms, which a sum rounded to nearest misses
+    ser = build(synthetic_family(ref_constants), ref_constants, n_terms=n,
+                m_max=10)
+    deltas = []
+    widen = ComplexEnclosure.widen
+
+    def recording(self, delta):
+        deltas.append(delta)
+        return widen(self, delta)
+
+    monkeypatch.setattr(ComplexEnclosure, "widen", recording)
+    ratio = ser.consts.C / ser.consts.M
+    beyond = 0
+    for y in make_grid(ser.family, "log", 1e-30, 1e-3, 200):
+        deltas.clear()
+        res = ser.evaluate(y)
+        pad = sum(Fraction(sig.hi * abs(complex(bar.func(y)))
+                           * BARRIER_EVAL_REL)
+                  for sig, bar in zip(ser.sigma_head, ser.barriers))
+        assert Fraction(deltas[0]) >= pad
+        if res.m_of_y > ser.n_terms + 1:
+            beyond += 1
+            ceiling = sum(Fraction(ratio * ser.engine.g(j).hi)
+                          for j in range(ser.n_terms + 1, res.m_of_y))
+            assert len(deltas) == 2
+            assert Fraction(deltas[1]) >= ceiling
+    assert beyond > 100
+
+
+# -- the float head sum against exact arithmetic and the per-term chain ------
+
+U = 2.0 ** -53
+TINY = 2.0 ** -1074
+
+
+def _units(x: float) -> int:
+    """x as an integer multiple of 2^-1074, which every double is."""
+    num, den = x.as_integer_ratio()
+    return num * (2 ** 1074 // den)
+
+
+@st.composite
+def dot_inputs(draw):
+    """Interval weights and values with mixed signs, zeros, subnormal and
+    underflowing products and, optionally, a last term that cancels the
+    rest; the arrays come from a drawn seed, so n can reach 4096."""
+    n = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # products of two values near 2^-560 fall below the normal range
+    low = draw(st.integers(-560, 20))
+    spread = draw(st.integers(0, 60))
+    width = draw(st.sampled_from([0.0, 2.0 ** -50, 1e-6, 0.5]))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+    def signed(size):
+        mant = rng.uniform(0.5, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        return np.ldexp(mant, rng.integers(low, low + spread + 1, size))
+
+    lo = signed(n)
+    hi = lo + np.abs(lo) * width * rng.uniform(0.0, 1.0, n)
+    vals = signed(n)
+    vals[rng.uniform(size=n) < zeros] = 0.0
+    if n > 1 and draw(st.booleans()):
+        lo[-1] = hi[-1] = 1.0
+        vals[-1] = -math.fsum((lo[:-1] * vals[:-1]).tolist())
+    return lo, hi, vals
+
+
+@given(dot_inputs())
+@settings(max_examples=100, deadline=None)
+def test_dot_encloses_exact_interval_dot_product(inputs):
+    lo, hi, vals = inputs
+    # exact sums in units of 2^-2148, where every product of doubles is whole
+    lo_sum = hi_sum = mag = 0
+    for a, b, v in zip(lo.tolist(), hi.tolist(), vals.tolist()):
+        pa, pb = _units(a) * _units(v), _units(b) * _units(v)
+        lo_sum += min(pa, pb)
+        hi_sum += max(pa, pb)
+        mag += max(abs(pa), abs(pb))
+    enc = _dot(lo, hi, vals)
+    enc_lo, enc_hi = _units(enc.lo) << 1074, _units(enc.hi) << 1074
+    assert enc_lo <= lo_sum and hi_sum <= enc_hi
+    # each end lies within the error it covers (2u sum|p| + 2^-1075 per
+    # nonzero value) plus the stated radius (3u sum|p| + 2^-1074 per nonzero
+    # value) of the exact one, up to the outward steps of widen
+    nonzero = int(np.count_nonzero(vals))
+    slack = (Fraction(5 * mag, 2 ** 53) * (1 + Fraction(4, 2 ** 53))
+             + 2 * nonzero * 2 ** 1074
+             + (_units(4 * math.ulp(abs(enc.lo) + abs(enc.hi))) << 1074))
+    assert lo_sum - enc_lo <= slack and enc_hi - hi_sum <= slack
+
+
+def _reference_evaluate(ser, y) -> EvalResult:
+    """evaluate as a per-term Enclosure chain: each sigma_j f_j(y) added to
+    a complex box in turn, the pad and the ceiling summed in order."""
+    y = ser.family.domain.require(y)
+    m = ser.split_index(y)
+    num = ComplexEnclosure.from_point(0.0 + 0.0j)
+    eval_pad = 0.0
+    running = 0.0
+    lowest = math.inf
+    member_m = None
+    thresholds = [1.0 + math.exp(-ser.consts.s * lie)
+                  for lie in ser.log_inv_eps]
+    for j, (sig, bar, thr) in enumerate(
+            zip(ser.sigma_head, ser.barriers, thresholds), 1):
+        fval = complex(bar.func(y))
+        mod = abs(fval)
+        num = num.add_scaled(sig, fval)
+        eval_pad += sig.hi * mod * BARRIER_EVAL_REL
+        running = max(running, mod)
+        lowest = min(lowest, mod)
+        if member_m is None and running >= thr:
+            member_m = j
+    if eval_pad > 0.0:
+        num = num.widen(eval_pad)
+    alpha_tol = ser.consts.alpha + GUARD * max(1.0, ser.consts.alpha)
+    if m == 0:
+        case = None
+    elif member_m is not None:
+        case = CaseLabel(
+            "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
+    elif running < thresholds[-1] and lowest <= alpha_tol:
+        case = CaseLabel("outside-all-W")
+    else:
+        case = CaseLabel("head-exhausted")
+    start = ser.n_terms + 1
+    if m > start:
+        disc = 0.0
+        for j in range(start, m):
+            disc += (ser.consts.C / ser.consts.M) * ser.engine.g(j).hi
+        num = num.widen(disc)
+    far_start = max(m, start)
+    if far_start == start:
+        far_tail = ser.tail_after_head
+    else:
+        far_tail = ser.engine.tail(far_start - 1)
+    off = ser.family.exact_off_value
+    if m == 0:
+        num = num + ComplexEnclosure.from_real(far_tail)
+    elif off is not None:
+        num = num + ComplexEnclosure.from_real(far_tail * off)
+    else:
+        num = num.widen(ser.consts.alpha * far_tail.hi)
+    f_enc = num.div_real(ser.normalizer)
+    return EvalResult(point=y, m_of_y=m, F=f_enc, abs_F=f_enc.abs_bounds(),
+                      case=case)
+
+
+@pytest.fixture(scope="module")
+def reference_cases(ref_constants):
+    from peakfn.certificates import run_all
+    cert = run_all(ref_constants)
+    built = {}
+
+    def series(family, n):
+        if (family, n) not in built:
+            fam = peakfn.family_by_name(family, ref_constants)
+            built[family, n] = build(fam, ref_constants, n_terms=n,
+                                     certificate_report=cert)
+        return built[family, n]
+    return series
+
+
+@pytest.mark.parametrize("family,n,grid", [
+    ("synthetic", 100, ("log", 1e-30, 1.0, 500)),
+    ("synthetic", 1000, ("log", 1e-30, 1.0, 500)),
+    ("disk-exp", 100, ("log", 1e-12, 1.0, 200)),
+], ids=["synthetic-100", "synthetic-1000", "disk-exp-100"])
+def test_evaluate_agrees_with_per_term_chain(reference_cases, family, n,
+                                             grid):
+    ser = reference_cases(family, n)
+    points = make_grid(ser.family, *grid) + [ser.peak]
+    for y in points:
+        new, ref = ser.evaluate(y), _reference_evaluate(ser, y)
+        assert (new.case, new.m_of_y) == (ref.case, ref.m_of_y)
+        for a, b in ((new.F.re, ref.F.re), (new.F.im, ref.F.im)):
+            assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+        assert new.abs_F.hi <= ref.abs_F.hi * (1.0 + 1e-15)
