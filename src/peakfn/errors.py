@@ -26,7 +26,8 @@ class FamilyAuditError(PeakFnError):
 
 
 class BuildRefusedError(PeakFnError):
-    """Series construction refused: certificates or family audit failed."""
+    """Series construction refused: a certificate failed, or the family was
+    made for other constants."""
 
 
 class DomainError(PeakFnError, ValueError):

@@ -2,7 +2,7 @@
 
 A family maps a radius r (supplied as log(1/r), since schedule radii
 underflow doubles) to a function f_r on the closed domain satisfying the
-four barrier conditions for the family's claimed constants:
+four barrier conditions for the constants it was made from:
 
   (1) f_r = 1 at the peak point;
   (2) |f_r| <= alpha off the radius-r ball around the peak;
@@ -12,19 +12,21 @@ four barrier conditions for the family's claimed constants:
 Two instances ship: a continuous piecewise family on [0,1] whose sup-norms
 genuinely grow like log^t(1/r), and a bounded holomorphic exponential
 family on the closed unit disk (the classical regime, for regression).
+BarrierFamily.certificate proves the conditions for every schedule radius;
+audit_family checks them pointwise on a grid, as the tests' reference.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, FamilyAuditError, InvalidParameterError
-from .hypothesis import GUARD
+from .hypothesis import GUARD, Constants, rel_margin, strictly_less
 
 _TWO_PI = 2.0 * math.pi
 
@@ -69,7 +71,6 @@ class Barrier:
     """One instantiated barrier function at a fixed radius."""
 
     log_inv_r: float
-    peak_cap: float  # the condition-(3) ceiling C * log^t(1/r)
     func: Callable[[complex], complex]
 
     def __call__(self, y) -> complex:
@@ -78,49 +79,80 @@ class Barrier:
 
 @dataclass(frozen=True, slots=True)
 class BarrierFamily:
-    """Radius-indexed barrier functions with claimed constants."""
+    """Radius-indexed barrier functions made for one set of constants."""
 
     name: str
     domain: DomainModel
-    alpha: float
-    s: float
-    t: float
-    A: float
-    C: float
+    consts: Constants
     exact_off_value: float | None  # constant value off the ball, if any
     min_log_inv_r: float  # radii restricted to r <= exp(-min_log_inv_r)
+    cap_floor: float  # condition (3) holds at r iff C log^t(1/r) >= cap_floor
     _make: Callable[[float], Barrier]
-    default_audit_radii: tuple = field(default=())
-    default_audit_grid: int = 1000
+
+    def _in_range(self, log_inv_r: float) -> bool:
+        return log_inv_r >= self.min_log_inv_r - 1e-12
 
     def barrier(self, log_inv_r: float) -> Barrier:
-        if not (log_inv_r >= self.min_log_inv_r - 1e-12):
+        if not self._in_range(log_inv_r):
             r_max = math.exp(-self.min_log_inv_r)
             raise FamilyAuditError(
-                f"family {self.name!r} is audited for r <= {r_max:.6g}; "
+                f"family {self.name!r} is defined for r <= {r_max:.6g}; "
                 f"got log(1/r) = {log_inv_r!r}")
         return self._make(float(log_inv_r))
+
+    def certificate(self) -> dict:
+        """Closed-form certificate of the four barrier conditions at every
+        schedule radius r_j <= r_1 = D.
+
+        Conditions (1), (2) and (4) hold at every radius by the family's
+        formula (see its constructor).  Condition (3) holds at r once the
+        cap C log^t(1/r) reaches cap_floor; the cap grows as r shrinks, so
+        one premise at r_1 = D covers the whole schedule.  It must clear
+        the guard band, so a tie fails, and D must lie in the family's
+        radius range.
+        """
+        c = self.consts
+        cap = c.C * math.pow(c.log_inv_D, c.t)
+        in_range = self._in_range(c.log_inv_D)
+        return {
+            "name": f"family-{self.name}",
+            "range": f"all r <= D = {c.D!r}",
+            "min_rel_margin": rel_margin(self.cap_floor, cap),
+            "guard": GUARD,
+            "passed": bool(in_range and strictly_less(self.cap_floor, cap)),
+            "details": {
+                "cap_at_D": cap,
+                "cap_floor": self.cap_floor,
+                "r_max": math.exp(-self.min_log_inv_r),
+            },
+        }
 
 
 # -- continuous piecewise family on [0, 1] ---------------------------------
 
 
-def synthetic_family(h) -> BarrierFamily:
+def synthetic_family(consts: Constants) -> BarrierFamily:
     """Piecewise-linear-plus-power family on [0,1] peaking at 0.
 
     f_r rises from 1 at 0 to 3/2 at A*r as 1 + (1/2)(y/(A*r))^s, climbs
     linearly to the cap C*log^t(1/r) at (A*r + r)/2, descends linearly to
     alpha at r, and stays exactly alpha on [r, 1].  Its sup-norm therefore
     realizes the condition-(3) ceiling, which is the regime the series
-    construction is designed for.  Condition (4) holds with margin: the
-    first segment reaches 1 + eps^s only at y = 2^(1/s) * A*r*eps, strictly
-    beyond the radius-(A*r*eps) ball.
+    construction is designed for.  The conditions, at every radius:
+
+      (1) f_r(0) = 1 by the y <= 0 branch;
+      (2) f_r = alpha exactly for y > r, and the descending segment ends
+          at alpha at y = r;
+      (3) every segment is monotone, so sup |f_r| on the ball is
+          max(3/2, cap): the cap must be at least 3/2 (cap_floor);
+      (4) the first segment reaches 1 + eps^s only at y = 2^(1/s) * A*r*eps,
+          strictly beyond the radius-(A*r*eps) ball.
     """
-    alpha = float(h.alpha)
-    s = float(h.s)
-    t = float(h.t)
-    big_a = float(h.A)
-    big_c = float(h.C)
+    alpha = consts.alpha
+    s = consts.s
+    t = consts.t
+    big_a = consts.A
+    big_c = consts.C
     log_a = math.log(big_a)
     w_mid = math.log((1.0 + big_a) / 2.0)
     two_over_gap = 2.0 / (1.0 - big_a)
@@ -150,43 +182,44 @@ def synthetic_family(h) -> BarrierFamily:
             frac = (ratio - (1.0 + big_a) / 2.0) * two_over_gap
             return complex(cap + (alpha - cap) * frac, 0.0)
 
-        return Barrier(log_inv_r=lir, peak_cap=cap, func=f)
+        return Barrier(log_inv_r=lir, func=f)
 
     return BarrierFamily(
         name="synthetic",
         domain=UNIT_INTERVAL,
-        alpha=alpha, s=s, t=t, A=big_a, C=big_c,
+        consts=consts,
         exact_off_value=alpha,
         min_log_inv_r=math.log(10.0),
+        cap_floor=1.5,
         _make=make,
-        default_audit_radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-        default_audit_grid=1000,
     )
 
 
 # -- bounded holomorphic family on the closed unit disk --------------------
 
 
-def disk_exponential_family(alpha: float, h=None) -> BarrierFamily:
+def disk_exponential_family(consts: Constants) -> BarrierFamily:
     """Scaled exponentials exp(lambda_r (z-1)) on the closed unit disk.
 
-    lambda_r = 2*log(1/alpha)/r^2 makes condition (2) hold because
-    Re(z-1) <= -|z-1|^2/2 on the disk; |f_r| <= 1 everywhere, so (3) and
-    (4) hold for any claimed C >= 1 once log^t(1/r) >= 1.  This is the
-    classical uniformly bounded regime.
+    lambda_r = 2*log(1/alpha)/r^2.  On the closed disk 2 Re(z-1) <=
+    -|z-1|^2, so |f_r(z)| = exp(lambda_r Re(z-1)) <= alpha^((|z-1|/r)^2)
+    <= 1.  The conditions, at every radius:
+
+      (1) f_r(1) = 1;
+      (2) |f_r| <= alpha wherever |z-1| >= r, by the bound above;
+      (3) |f_r| <= 1, with equality at the peak: the cap must be at least
+          1 (cap_floor);
+      (4) |f_r| <= 1 < 1 + eps^s.
+
+    This is the classical uniformly bounded regime.
     """
-    alpha = float(alpha)
+    alpha = consts.alpha
     if not (0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha!r}")
-    s = float(h.s) if h is not None else 1.0
-    t = float(h.t) if h is not None else 0.75
-    big_a = float(h.A) if h is not None else 0.5
-    big_c = max(float(h.C), 1.0) if h is not None else 1.0
     log_2_log_inv_alpha = math.log(2.0 * math.log(1.0 / alpha))
 
     def make(lir: float) -> Barrier:
         log_lam = log_2_log_inv_alpha + 2.0 * lir
-        cap = big_c * math.pow(lir, t)
 
         def f(z: complex) -> complex:
             dz = z - 1.0
@@ -213,17 +246,16 @@ def disk_exponential_family(alpha: float, h=None) -> BarrierFamily:
                 return complex(0.0, 0.0)
             return cmath.exp(complex(wre, wim))
 
-        return Barrier(log_inv_r=lir, peak_cap=cap, func=f)
+        return Barrier(log_inv_r=lir, func=f)
 
     return BarrierFamily(
         name="disk-exp",
         domain=UNIT_DISK,
-        alpha=alpha, s=s, t=t, A=big_a, C=big_c,
+        consts=consts,
         exact_off_value=None,
         min_log_inv_r=math.log(1.0 / 0.2),
+        cap_floor=1.0,
         _make=make,
-        default_audit_radii=(0.05, 0.1, 0.2),
-        default_audit_grid=10_000,
     )
 
 
@@ -234,7 +266,7 @@ def family_by_name(name: str, consts) -> BarrierFamily:
     if name == "synthetic":
         return synthetic_family(consts)
     if name == "disk-exp":
-        return disk_exponential_family(consts.alpha, consts)
+        return disk_exponential_family(consts)
     raise InvalidParameterError(
         f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
 
@@ -308,9 +340,11 @@ class AuditReport:
         }
 
 
-def audit_family(fam: BarrierFamily, radii=None, grid_size: int | None = None,
+def audit_family(fam: BarrierFamily, radii, grid_size: int,
                  eps_grid=None) -> AuditReport:
-    """Pointwise check of the four barrier conditions on a grid.
+    """Pointwise check of the four barrier conditions on a grid, against
+    the constants the family was made for; the tests' reference for
+    BarrierFamily.certificate.
 
     Conditions (2) and (3) are checked with the guard-band tolerance on
     every grid point; condition (1) is exact; condition (4) is probed on an
@@ -318,10 +352,7 @@ def audit_family(fam: BarrierFamily, radii=None, grid_size: int | None = None,
     violation lands in the failures list with its condition, radius, and
     point.
     """
-    if radii is None:
-        radii = fam.default_audit_radii
-    if grid_size is None:
-        grid_size = fam.default_audit_grid
+    consts = fam.consts
     if eps_grid is None:
         eps_grid = [0.01 * i for i in range(1, 100)]
     worst = {
@@ -355,24 +386,25 @@ def audit_family(fam: BarrierFamily, radii=None, grid_size: int | None = None,
             grid = [complex(v, 0.0) for v in _interval_audit_points(r, grid_size)]
         else:
             grid = _disk_audit_points(grid_size)
-        tol2 = GUARD * max(1.0, fam.alpha)
-        tol3 = GUARD * max(1.0, bar.peak_cap)
+        cap = consts.C * math.pow(lir, consts.t)
+        tol2 = GUARD * max(1.0, consts.alpha)
+        tol3 = GUARD * max(1.0, cap)
         for z in grid:
             d = fam.domain.distance_to_peak(z)
             mod = abs(bar(z))
             if d >= r:
-                margin = fam.alpha - mod
+                margin = consts.alpha - mod
                 worst["condition_2"] = min(worst["condition_2"], margin)
                 if margin < -tol2:
                     fail("condition_2", r, z, margin)
             else:
-                margin = bar.peak_cap - mod
+                margin = cap - mod
                 worst["condition_3"] = min(worst["condition_3"], margin)
                 if margin < -tol3:
                     fail("condition_3", r, z, margin)
         for eps in eps_grid:
-            ball = fam.A * r * eps
-            threshold = 1.0 + math.pow(eps, fam.s)
+            ball = consts.A * r * eps
+            threshold = 1.0 + math.pow(eps, consts.s)
             for z in _ball_probe_points(fam.domain, ball):
                 mod = abs(bar(z))
                 margin = threshold - mod

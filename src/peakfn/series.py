@@ -212,25 +212,21 @@ class PeakSeries:
 
 
 def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
-          m_max: int = 120, certificate_report=None,
-          audit_report=None) -> PeakSeries:
-    """Assemble a series after the certificate battery and family audit.
-
-    Precomputed reports may be passed in to avoid repeating the work; the
-    build refuses whenever either gate fails.
-    """
-    if certificate_report is None:
-        certificate_report = certificates.run_all(consts, m_max=m_max)
-    if not certificate_report.passed:
+          m_max: int = 120) -> PeakSeries:
+    """Assemble a series after the certificate battery and the family's
+    certificate; the build refuses whenever either fails, or when the
+    family was made for other constants."""
+    if fam.consts != consts:
         raise BuildRefusedError(
-            "certificate battery failed: "
-            + ", ".join(certificate_report.failing()))
-    if audit_report is None:
-        audit_report = families.audit_family(fam)
-    if not audit_report.passed:
+            f"family {fam.name!r} was made for other constants than the "
+            "build's")
+    report = certificates.run_all(consts, m_max=m_max)
+    if not report.passed:
         raise BuildRefusedError(
-            f"family audit failed for {fam.name!r}: "
-            f"{len(audit_report.failures)} condition violations")
+            "certificate battery failed: " + ", ".join(report.failing()))
+    cert = fam.certificate()
+    if not cert["passed"]:
+        raise BuildRefusedError(f"family certificate failed: {cert['name']}")
     return _assemble(fam, consts, n_terms)
 
 
@@ -320,7 +316,7 @@ def load_series(path) -> PeakSeries:
     Only format, family, constants and n_terms are read as inputs; the
     weights, tail, normalizer and schedule in the file must equal the
     rebuild's, so a file written where libm rounds differently is refused.
-    The certificate battery and the family audit are not rerun.
+    The certificate battery and the family certificate are not rerun.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -116,7 +116,7 @@ def test_criterion_7_family_audits(ref_consts):
         rep = peakfn.audit_family(fam, radii=radii, grid_size=1000,
                                   eps_grid=eps_grid)
         assert rep.passed, rep.failures
-        disk = peakfn.disk_exponential_family(ref_consts.alpha, ref_consts)
+        disk = peakfn.disk_exponential_family(ref_consts)
         rep2 = peakfn.audit_family(disk, radii=(0.05, 0.1, 0.2),
                                    grid_size=10_000)
         assert rep2.passed, rep2.failures

@@ -275,6 +275,22 @@ def test_build_without_series_path(cfg_path):
     assert cli.main(["build", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+def test_build_refuses_cap_below_family_floor(tmp_path, capsys, family):
+    # params and certify pass, but C log^t(1/D) = 0.496 lies below the
+    # floor of either family (3/2 and 1), so condition (3) fails at r_1 = D
+    p = write_cfg(tmp_path, alpha=0.95, C=0.11, family=family)
+    assert cli.main(["params", "--config", str(p)]) == 0
+    assert cli.main(["certify", "--config", str(p)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["build", "--config", str(p), "--terms", "20",
+                   "--series", str(tmp_path / "s.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"family certificate failed: family-{family}" in err
+    assert not (tmp_path / "s.json").exists()
+
+
 def _declared_entry_point():
     try:
         import tomllib

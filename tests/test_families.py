@@ -1,14 +1,23 @@
-"""Barrier families: pointwise condition checks, audits, and grids."""
+"""Barrier families: pointwise condition checks, certificates, audits,
+and grids."""
 
 import cmath
+import dataclasses
 import math
+import random
 
 import pytest
 
-from peakfn import audit_family, disk_exponential_family, family_by_name, \
-    make_grid, synthetic_family
+from peakfn import (HypothesisConstants, Schedule, audit_family,
+                    derive_constants, disk_exponential_family, family_by_name,
+                    make_grid, synthetic_family)
 from peakfn.errors import FamilyAuditError, InvalidParameterError
 from peakfn.families import UNIT_DISK, UNIT_INTERVAL
+from peakfn.hypothesis import GUARD
+
+# acceptance criterion 7's audit radii and grid sizes
+SYN_AUDIT = dict(radii=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), grid_size=1000)
+DISK_AUDIT = dict(radii=(0.05, 0.1, 0.2), grid_size=10_000)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +27,7 @@ def syn(ref_constants):
 
 @pytest.fixture(scope="module")
 def disk(ref_constants):
-    return disk_exponential_family(0.5, ref_constants)
+    return disk_exponential_family(ref_constants)
 
 
 def test_family_lookup(ref_constants):
@@ -28,7 +37,7 @@ def test_family_lookup(ref_constants):
         family_by_name("nope", ref_constants)
 
 
-def test_synthetic_barrier_pointwise(syn):
+def test_synthetic_barrier_pointwise(syn, ref_constants):
     bar = syn.barrier(math.log(10.0))  # r = 0.1
     assert bar(0.0) == 1.0
     # off the ball: exactly alpha
@@ -39,7 +48,7 @@ def test_synthetic_barrier_pointwise(syn):
     # tent apex near the spec's quoted working value
     apex = bar(0.075).real
     assert apex == pytest.approx(3.738451598, rel=1e-6)
-    assert apex <= bar.peak_cap
+    assert apex <= ref_constants.C * math.log(10.0) ** ref_constants.t
     # inside but before the ramp: between 1 and 1.5
     assert 1.0 <= bar(0.01).real <= 1.5
 
@@ -48,10 +57,10 @@ def test_synthetic_condition4_shape(syn):
     # within A*r*eps of the peak the value stays below 1 + eps^s
     bar = syn.barrier(math.log(10.0))
     for eps in (0.01, 0.1, 0.5, 0.99):
-        ball = syn.A * 0.1 * eps
+        ball = syn.consts.A * 0.1 * eps
         for frac in (0.1, 0.9):
             v = abs(bar(frac * ball))
-            assert v < 1.0 + eps ** syn.s
+            assert v < 1.0 + eps ** syn.consts.s
 
 
 def test_synthetic_family_rejects_large_radius(syn):
@@ -60,7 +69,7 @@ def test_synthetic_family_rejects_large_radius(syn):
 
 
 def test_synthetic_audit_passes(syn):
-    rep = audit_family(syn)
+    rep = audit_family(syn, **SYN_AUDIT)
     assert rep.passed
     assert rep.failures == []
     assert rep.condition_margins["condition_2"] >= 0.0
@@ -70,7 +79,7 @@ def test_synthetic_audit_passes(syn):
 
 
 def test_disk_audit_passes(disk):
-    rep = audit_family(disk)
+    rep = audit_family(disk, **DISK_AUDIT)
     assert rep.passed
     assert rep.condition_margins["condition_2"] > 0.0
     # |f| <= 1 everywhere puts condition-3 margin near cap - 1
@@ -142,8 +151,86 @@ def test_make_grid_validation(syn):
 def test_audit_catches_planted_violation(ref_constants):
     # a family claiming a smaller alpha than it satisfies must be caught
     fam = synthetic_family(ref_constants)
-    import dataclasses
-    lying = dataclasses.replace(fam, alpha=0.25)
-    rep = audit_family(lying)
+    lying = dataclasses.replace(
+        fam, consts=dataclasses.replace(ref_constants, alpha=0.25))
+    rep = audit_family(lying, **SYN_AUDIT)
     assert not rep.passed
     assert any(f["condition"] == "condition_2" for f in rep.failures)
+
+
+FLOORS = {"synthetic": 1.5, "disk-exp": 1.0}
+
+
+def _with_cap(consts, cap):
+    """consts with C set so that C log^t(1/D) is cap, exactly where a float
+    C reaches it, else within an ulp or two."""
+    pw = math.pow(consts.log_inv_D, consts.t)
+    c = cap / pw
+    for _ in range(16):
+        if c * pw == cap:
+            break
+        c = math.nextafter(c, -math.inf if c * pw > cap else math.inf)
+    return dataclasses.replace(consts, C=c)
+
+
+@pytest.mark.parametrize("name", sorted(FLOORS))
+@pytest.mark.parametrize("scale,passed", [
+    (1.0 - GUARD, False),
+    (1.0, False),
+    (1.0 + 2.0 * GUARD, True),
+], ids=["guard-below", "tie", "just-above"])
+def test_certificate_premise_at_first_radius(ref_constants, name, scale,
+                                             passed):
+    # condition (3) rests on C log^t(1/D) clearing the family's floor
+    floor = FLOORS[name]
+    consts = _with_cap(ref_constants, floor * scale)
+    cert = family_by_name(name, consts).certificate()
+    assert cert["name"] == f"family-{name}"
+    assert cert["passed"] is passed
+    assert cert["details"]["cap_floor"] == floor
+    if scale == 1.0:
+        assert cert["details"]["cap_at_D"] == floor
+    else:
+        assert cert["details"]["cap_at_D"] == pytest.approx(floor * scale,
+                                                            rel=1e-15)
+
+
+def test_certificate_needs_first_radius_in_range(ref_constants):
+    # r_1 = D = 0.15 lies past the synthetic family's r <= 0.1
+    consts = dataclasses.replace(ref_constants, D=0.15)
+    assert not synthetic_family(consts).certificate()["passed"]
+    assert disk_exponential_family(consts).certificate()["passed"]
+
+
+# perfbench's certify-cold hypothesis box, and a config whose cap at D is
+# below both families' floors
+HYPOTHESIS_BOX = {"alpha": (0.3, 0.7), "s": (0.5, 1.0), "t": (0.5, 0.85),
+                  "A": (0.3, 0.7), "C": (1.5, 3.0)}
+SMALL_C = dict(alpha=0.95, s=1.0, t=0.75, A=0.5, C=0.11)
+
+
+def _agreement_hypotheses():
+    rng = random.Random(1)
+    box = [{k: rng.uniform(*HYPOTHESIS_BOX[k]) for k in sorted(HYPOTHESIS_BOX)}
+           for _ in range(16)]
+    return box + [SMALL_C]
+
+
+@pytest.mark.parametrize("name,grid_size", [("synthetic", 1000),
+                                            ("disk-exp", 2000)])
+def test_certificate_agrees_with_audit(name, grid_size):
+    # the audit at the first two schedule radii is the reference; a family
+    # that refuses to make a barrier there fails it
+    verdicts = []
+    for h in _agreement_hypotheses():
+        consts, _ = derive_constants(HypothesisConstants(**h))
+        fam = family_by_name(name, consts)
+        sched = Schedule(consts)
+        radii = tuple(math.exp(-sched.log_inv_radius(j)) for j in (1, 2))
+        try:
+            audited = audit_family(fam, radii=radii, grid_size=grid_size).passed
+        except FamilyAuditError:
+            audited = False
+        assert fam.certificate()["passed"] is audited, h
+        verdicts.append(audited)
+    assert verdicts.count(False) == 1 and verdicts[-1] is False

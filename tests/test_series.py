@@ -162,14 +162,13 @@ def test_build_refuses_bad_constants(ref_constants):
         build(fam, bad, n_terms=10, m_max=10)
 
 
-def test_build_reuses_reports(ref_constants):
-    from peakfn.certificates import run_all
-    cert = run_all(ref_constants, m_max=10)
-    fam = synthetic_family(ref_constants)
-    audit = peakfn.audit_family(fam, radii=(1e-1, 1e-3), grid_size=100)
-    ser = build(fam, ref_constants, n_terms=5,
-                certificate_report=cert, audit_report=audit)
-    assert ser.n_terms == 5
+def test_build_refuses_family_of_other_constants(ref_constants):
+    # family and certificate battery must be judged on one set of numbers
+    other = dataclasses.replace(ref_constants, C=3.0)
+    for fam in (synthetic_family(other),
+                peakfn.disk_exponential_family(other)):
+        with pytest.raises(BuildRefusedError, match="other constants"):
+            build(fam, ref_constants, n_terms=5, m_max=10)
 
 
 def test_round_trip_is_bit_identical(ref_series, tmp_path):
@@ -271,12 +270,8 @@ def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
 
 @pytest.fixture(scope="module")
 def disk_series(ref_constants):
-    from peakfn.certificates import run_all
-    fam = peakfn.disk_exponential_family(ref_constants.alpha, ref_constants)
-    audit = peakfn.audit_family(fam, radii=(0.1, 0.05), grid_size=2000)
-    cert = run_all(ref_constants, m_max=20)
-    return build(fam, ref_constants, n_terms=60,
-                 certificate_report=cert, audit_report=audit)
+    fam = peakfn.disk_exponential_family(ref_constants)
+    return build(fam, ref_constants, n_terms=60)
 
 
 def test_disk_evaluate_peak_and_interior(disk_series):
@@ -472,15 +467,12 @@ def _reference_evaluate(ser, y) -> EvalResult:
 
 @pytest.fixture(scope="module")
 def reference_cases(ref_constants):
-    from peakfn.certificates import run_all
-    cert = run_all(ref_constants)
     built = {}
 
     def series(family, n):
         if (family, n) not in built:
             fam = peakfn.family_by_name(family, ref_constants)
-            built[family, n] = build(fam, ref_constants, n_terms=n,
-                                     certificate_report=cert)
+            built[family, n] = build(fam, ref_constants, n_terms=n)
         return built[family, n]
     return series
 
