@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import hypothesis as hyp
 # unused here; kept because perfbench's tracer wraps the name in this module
 from ._kernels import radius_bound_sweep  # noqa: F401
-from .enclosure import Enclosure
 from .hypothesis import GUARD, Constants
 from .schedule import Schedule
 from .weights import WeightEngine
@@ -93,35 +92,32 @@ def check_eps_condition(consts: Constants, m_range=(3, 120)) -> dict:
     }
 
 
-def check_claim1(engine: WeightEngine, m_range=(1, 120)) -> dict:
-    """Per-index cap on the head term: (C psi(m)^t - 1) sigma_m < mk * tail(m).
+def check_claim1(consts: Constants) -> dict:
+    """Per-index cap on the head term, (C psi(m)^t - 1) sigma_m < Mk tail(m),
+    proved for every m >= 1.
 
-    Left side taken at upper enclosure ends, right side at the lower end.
+    With u = psi(m)^(-t) > 0 and sigma_m = g(m) u / M,
+
+        (C psi^t - 1) sigma_m = (C - u) g(m)/M <= (1 - u/M) g(m)
+                              < (1 - k u) g(m) <= exp(-k u) g(m)
+                              <= g(m+1) <= Mk tail(m).
+
+    The first step needs C <= M and the second Mk < 1.  The last two are
+    the facts WeightEngine.tail rests on: psi is non-decreasing, so the
+    decay integral over [m, m+1] is at most u, and sum_{j>m} sigma_j is at
+    least g(m+1)/(Mk).  The record checks C < M and Mk < 1 with the guard
+    band, so a tie fails.
     """
-    lo, hi = int(m_range[0]), int(m_range[1])
-    consts = engine.consts
-    min_rel = math.inf
-    argmin = 0
-    ok = True
-    for m in range(lo, hi + 1):
-        psit = Enclosure.from_libm(
-            math.pow(engine.schedule.psi(float(m)), consts.t), ulps=8)
-        lhs = (consts.C * psit.hi - 1.0) * engine.sigma(m).hi
-        rhs = consts.mk * engine.tail(m).lo
-        r = hyp.rel_margin(lhs, rhs)
-        if r < min_rel:
-            min_rel = r
-            argmin = m
-        if not hyp.strictly_less(lhs, rhs):
-            ok = False
+    c, m, mk = consts.C, consts.M, consts.mk
     return {
         "name": "claim-1",
-        "range": f"m in [{lo}, {hi}]",
-        "min_rel_margin": min_rel,
-        "argmin_m": argmin,
+        "range": "all m >= 1",
+        "min_rel_margin": min(hyp.rel_margin(c, m), hyp.rel_margin(mk, 1.0)),
         "guard": GUARD,
-        "passed": bool(ok),
-        "details": {"sides": "lhs at enclosure.hi, rhs at enclosure.lo"},
+        "passed": hyp.strictly_less(c, m) and hyp.strictly_less(mk, 1.0),
+        "details": {"C": c, "M": m, "mk": mk,
+                    "proof": "(C - u) g(m)/M < exp(-k u) g(m) <= g(m+1), "
+                             "u = psi(m)^(-t)"},
     }
 
 
@@ -221,17 +217,19 @@ def check_schedule_identities(sched: Schedule, m_equiv: int = 200) -> list:
     return [rec_equiv, rec_bracket, rec_radius]
 
 
-def run_all(consts: Constants, m_max: int = 120) -> CertificateReport:
-    """Full certificate battery for one constants set."""
+def run_all(engine: WeightEngine, m_max: int = 120) -> CertificateReport:
+    """Full certificate battery for the constants of one engine; the sweeps
+    fill its caches, so a series assembled from it holds the certified
+    weights."""
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
+    consts = engine.consts
     report = CertificateReport(constants=consts.to_dict())
-    engine = WeightEngine(consts)
     report.record(check_first_shell(consts))
     report.record(check_eps_condition(consts, (3, m_max)))
     for rec in check_schedule_identities(engine.schedule):
         report.record(rec)
-    report.record(check_claim1(engine, (1, m_max)))
+    report.record(check_claim1(consts))
     report.record(check_claim2(engine, (2, m_max)))
     report.record(check_lemma(engine))
     return report

@@ -20,6 +20,7 @@ from .config import Config, load_config, parse_grid
 from .errors import (BuildRefusedError, ConfigError, InfeasibleParametersError,
                      PeakFnError)
 from .hypothesis import GUARD, HypothesisConstants, derive_constants
+from .weights import WeightEngine
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +116,7 @@ def cmd_certify(cfg: Config, m_max, out_path) -> int:
     if m_max is None:
         m_max = cfg.m_max
     consts, _ = _derive_from_config(cfg)
-    report = certificates.run_all(consts, m_max=int(m_max))
+    report = certificates.run_all(WeightEngine(consts), m_max=int(m_max))
     payload = {"command": "certify", "m_max": int(m_max)}
     payload.update(report.to_dict())
     _emit(_json_text(payload), out_path)
@@ -129,7 +130,7 @@ def cmd_build(cfg: Config, terms, series_path, out_path) -> int:
     path = series_path or cfg.series
     if not path:
         raise ConfigError("build needs --series PATH (or 'series' in config)")
-    built = series_mod.build(fam, consts, n_terms=n, m_max=cfg.m_max)
+    built = series_mod.build(fam, n_terms=n, m_max=cfg.m_max)
     series_mod.save_series(built, path)
     payload = {
         "command": "build",
@@ -149,7 +150,7 @@ def _load_for_grid(cfg: Config, series_path, grid_arg):
         raise ConfigError("need --series PATH (or 'series' in config); "
                           "run build first")
     consts, _ = _derive_from_config(cfg)
-    ser = series_mod.load_series(path)
+    ser = series_mod.load_series(path, m_max=cfg.m_max)
     if ser.family.name != cfg.family:
         raise ConfigError(
             f"series file {path!r} is for family {ser.family.name!r}, "

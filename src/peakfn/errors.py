@@ -26,8 +26,7 @@ class FamilyAuditError(PeakFnError):
 
 
 class BuildRefusedError(PeakFnError):
-    """Series construction refused: a certificate failed, or the family was
-    made for other constants."""
+    """Series construction refused: a certificate failed."""
 
 
 class DomainError(PeakFnError, ValueError):

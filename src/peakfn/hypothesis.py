@@ -194,6 +194,11 @@ def derive_pq(t: float, M: float) -> tuple[float, float]:
     return p, q
 
 
+def derive_k(alpha: float, M: float) -> float:
+    """Decay rate k = (1-alpha)/(2M), so that Mk = (1-alpha)/2."""
+    return (1.0 - alpha) / (2.0 * M)
+
+
 def eps_exponent_sides(alpha: float, s: float, t: float, A: float,
                        M: float, p: float, q: float, m: int) -> tuple[float, float]:
     """LHS and RHS exponents of the neighborhood-shrink inequality at m.
@@ -397,7 +402,7 @@ def derive_constants(h: HypothesisConstants,
         if not (L > 0.0):
             raise InvalidParameterError(f"L must be positive, got {L!r}")
     report["L_certificate"] = l_certificate(p, L)
-    k = (1.0 - hn.alpha) / (2.0 * M)
+    k = derive_k(hn.alpha, M)
     consts = Constants(alpha=hn.alpha, s=hn.s, t=hn.t, A=hn.A, C=hn.C,
                        D=D, M=M, p=p, q=q, L=L, k=k)
     report["derived"] = consts.to_dict()

@@ -19,7 +19,8 @@ from . import certificates, families
 from .enclosure import ComplexEnclosure, Enclosure
 from .errors import (BuildRefusedError, ConfigError, DomainError,
                      FamilyAuditError)
-from .hypothesis import GUARD, Constants
+from .hypothesis import (GUARD, Constants, HypothesisConstants, derive_k,
+                         derive_pq)
 from .families import BarrierFamily
 from .weights import WeightEngine
 
@@ -211,32 +212,26 @@ class PeakSeries:
         }
 
 
-def build(fam: BarrierFamily, consts: Constants, n_terms: int = 100,
+def build(fam: BarrierFamily, n_terms: int = 100,
           m_max: int = 120) -> PeakSeries:
-    """Assemble a series after the certificate battery and the family's
-    certificate; the build refuses whenever either fails, or when the
-    family was made for other constants."""
-    if fam.consts != consts:
-        raise BuildRefusedError(
-            f"family {fam.name!r} was made for other constants than the "
-            "build's")
-    report = certificates.run_all(consts, m_max=m_max)
+    """The series of fam and its constants with an N-term head, assembled
+    only after the certificate battery and the family's certificate pass.
+
+    One WeightEngine serves both: the battery fills its caches and the
+    head weights are read back from them, so the series holds the very
+    sigma_j the battery certified.
+    """
+    if n_terms < 1:
+        raise DomainError("n_terms must be at least 1")
+    consts = fam.consts
+    engine = WeightEngine(consts)
+    report = certificates.run_all(engine, m_max=m_max)
     if not report.passed:
         raise BuildRefusedError(
             "certificate battery failed: " + ", ".join(report.failing()))
     cert = fam.certificate()
     if not cert["passed"]:
         raise BuildRefusedError(f"family certificate failed: {cert['name']}")
-    return _assemble(fam, consts, n_terms)
-
-
-def _assemble(fam: BarrierFamily, consts: Constants,
-              n_terms: int) -> PeakSeries:
-    """The series of fam and consts with an N-term head; build gates it,
-    load_series rebuilds a file through it."""
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    engine = WeightEngine(consts)
     sched = engine.schedule
     sigma_head = [engine.sigma(j) for j in range(1, n_terms + 1)]
     prefix = engine.sigma_prefix(n_terms)
@@ -309,14 +304,18 @@ def save_series(series: PeakSeries, path) -> None:
         fh.write("\n")
 
 
-def load_series(path) -> PeakSeries:
-    """Rebuild the series a file names and refuse it unless the file holds
-    exactly the rebuilt numbers.
+def load_series(path, m_max: int = 120) -> PeakSeries:
+    """Rebuild the series a file names through build and refuse the file
+    unless it holds exactly the rebuilt numbers.
 
-    Only format, family, constants and n_terms are read as inputs; the
+    Only format, family, constants and n_terms are read as inputs.  The
+    hypothesis constants must lie in their ranges, and p, q and k must be
+    the ones t, M and alpha derive, as the tail bracket and the claim-1
+    proof assume.  The rebuild reruns the certificate battery (up to
+    m_max) and the family certificate, so a file whose constants fail
+    either is refused as build refuses them (BuildRefusedError).  The
     weights, tail, normalizer and schedule in the file must equal the
     rebuild's, so a file written where libm rounds differently is refused.
-    The certificate battery and the family certificate are not rerun.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -333,8 +332,17 @@ def load_series(path) -> PeakSeries:
     payload.pop("quad_rel_tol", None)
     try:
         consts = Constants.from_dict(payload["constants"])
+        HypothesisConstants(consts.alpha, consts.s, consts.t, consts.A,
+                            consts.C).validate()
+        p, q = derive_pq(consts.t, consts.M)
+        k = derive_k(consts.alpha, consts.M)
+        underived = [name for name, v in (("p", p), ("q", q), ("k", k))
+                     if getattr(consts, name) != v]
+        if underived:
+            raise ValueError(f"{', '.join(underived)} not derived from t, M "
+                             "and alpha")
         fam = families.family_by_name(payload["family"], consts)
-        series = _assemble(fam, consts, int(payload["n_terms"]))
+        series = build(fam, int(payload["n_terms"]), m_max=m_max)
     except (KeyError, TypeError, ValueError, ArithmeticError,
             FamilyAuditError) as exc:
         raise ConfigError(f"malformed series file {path!r}: {exc}") from exc

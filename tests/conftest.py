@@ -34,7 +34,7 @@ def engine(ref_constants):
 @pytest.fixture(scope="session")
 def ref_series(ref_constants):
     fam = synthetic_family(ref_constants)
-    return peakfn.build(fam, ref_constants, n_terms=100)
+    return peakfn.build(fam, n_terms=100)
 
 
 @pytest.fixture(scope="session")

@@ -80,19 +80,17 @@ def test_criterion_5_certificate_battery(ref_consts):
         assert first_shell_margin(0.5, 1.0, 2.0, 0.1) == pytest.approx(
             0.0406, abs=5e-4)
         assert first_shell_margin(0.5, 1.0, 2.0, 0.2) < 0.0
-        report = run_all(ref_consts, m_max=120)
+        report = run_all(WeightEngine(ref_consts), m_max=120)
         by_name = {r["name"]: r for r in report.records}
         eps = by_name["eps-condition"]
         assert eps["passed"]
         assert eps["range"].startswith("m in [3, 120]")
         assert eps["details"]["tail_certificate"]["passed"]
         assert eps["details"]["tail_certificate"]["d_increasing"]
-        for name in ("partial-sum-brackets", "radius-bound"):
+        for name in ("partial-sum-brackets", "radius-bound", "claim-1"):
             assert by_name[name]["passed"]
             assert by_name[name]["range"].startswith("all m >= ")
-        c1 = by_name["claim-1"]
-        assert c1["passed"] and c1["range"] == "m in [1, 120]"
-        assert c1["min_rel_margin"] > GUARD
+        assert by_name["claim-1"]["min_rel_margin"] > GUARD
         c2 = by_name["claim-2"]
         assert c2["passed"] and c2["range"] == "m in [2, 120]"
         assert c2["min_rel_margin"] > GUARD
@@ -125,7 +123,7 @@ def test_criterion_7_family_audits(ref_consts):
 def test_criterion_8_peaking_on_log_grid(ref_consts):
     with budget(60.0):
         fam = synthetic_family(ref_consts)
-        ser = build(fam, ref_consts, n_terms=100)
+        ser = build(fam, n_terms=100)
         at_peak = ser.evaluate(0.0)
         assert at_peak.F.re.contains(1.0) and at_peak.F.im.contains(0.0)
         grid = make_grid(fam, "log", 1e-30, 1.0, 500)

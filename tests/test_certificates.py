@@ -6,13 +6,15 @@ import math
 
 import pytest
 
-from peakfn import Constants, Schedule, derive_constants, run_all
+from peakfn import (Constants, Schedule, WeightEngine, derive_constants,
+                    run_all)
 from peakfn._kernels import radius_bound_sweep
 from peakfn.certificates import (check_claim1, check_claim2, check_eps_condition,
                                  check_first_shell, check_lemma,
                                  check_schedule_identities)
 from peakfn.enclosure import Enclosure
-from peakfn.hypothesis import HypothesisConstants, eps_exponent_sides
+from peakfn.hypothesis import (HypothesisConstants, eps_exponent_sides,
+                               rel_margin, strictly_less)
 
 
 REF = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=0.5, C=2.0)
@@ -20,7 +22,7 @@ REF = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=0.5, C=2.0)
 
 @pytest.fixture(scope="module")
 def ref_run(ref_constants):
-    return run_all(ref_constants, m_max=120)
+    return run_all(WeightEngine(ref_constants), m_max=120)
 
 
 def test_run_all_passes(ref_run):
@@ -103,15 +105,52 @@ def test_radius_bound_proof_against_sweep(ref_constants):
     assert radius_bound_sweep(5000, *args, 0.9)[0] < 0.0
 
 
-def test_claim1_frozen_margin(engine):
-    rec = check_claim1(engine, (1, 120))
-    assert rec["passed"]
-    # the margin shrinks monotonically toward ~0.5, so the worst index is
-    # the range end, and the whole sweep keeps half a unit of clearance
-    assert rec["argmin_m"] == 120
-    assert rec["min_rel_margin"] == pytest.approx(0.5003867930834139,
-                                                  rel=1e-6)
-    assert rec["min_rel_margin"] > 0.5
+def _claim1_sweep(engine, hi=120):
+    """The per-index check the claim-1 proof replaced: (C psi(m)^t - 1)
+    sigma_m < Mk tail(m) on [1, hi], the left side at its enclosure's upper
+    end and the right side at its lower end.  Returns the verdict, the
+    smallest relative margin and its index."""
+    consts = engine.consts
+    ok, min_rel, argmin = True, math.inf, 0
+    for m in range(1, hi + 1):
+        psit = Enclosure.from_libm(
+            math.pow(engine.schedule.psi(float(m)), consts.t), ulps=8)
+        lhs = (consts.C * psit.hi - 1.0) * engine.sigma(m).hi
+        rhs = consts.mk * engine.tail(m).lo
+        r = rel_margin(lhs, rhs)
+        if r < min_rel:
+            min_rel, argmin = r, m
+        ok = ok and strictly_less(lhs, rhs)
+    return ok, min_rel, argmin
+
+
+def test_claim1_frozen_margin(ref_constants, engine):
+    rec = check_claim1(ref_constants)
+    assert rec["passed"] and rec["range"] == "all m >= 1"
+    # the proof's margin is (M - C)/M = 1/2 on the reference
+    assert rec["min_rel_margin"] == 0.5
+    # the sweep's margin shrinks monotonically toward it, so the worst
+    # index is the range end
+    ok, min_rel, argmin = _claim1_sweep(engine)
+    assert ok and argmin == 120
+    assert min_rel == pytest.approx(0.5003867930834139, rel=1e-6)
+    assert min_rel > rec["min_rel_margin"]
+
+
+@pytest.mark.parametrize("M", [1.01, 1.5, 2.0, 2.05, 2.5, 4.0, 8.0])
+def test_claim1_proof_against_sweep(M):
+    # the proof implies the sweep on [1, 120]: a failing sweep fails it too
+    consts, _ = derive_constants(REF, M=M)
+    proof = check_claim1(consts)["passed"]
+    sweep, min_rel, _ = _claim1_sweep(WeightEngine(consts))
+    assert sweep or not proof
+    if M == consts.C:
+        # the one verdict that changes: the sweep clears M = C = 2 by 6.5e-4,
+        # while the proof's premise C < M is a tie, and a tie fails
+        assert sweep and not proof
+        assert min_rel == pytest.approx(6.5e-4, rel=0.01)
+    else:
+        assert proof == sweep
 
 
 def test_claim1_m1_sides(engine):
@@ -147,11 +186,11 @@ def test_lemma_battery(engine):
 def test_claim1_fails_for_small_M(ref_constants):
     # M = 1.01 makes the per-term cap beat the tail: claim 1 must fail
     consts, _ = derive_constants(REF, M=1.01)
-    report = run_all(consts, m_max=40)
+    report = run_all(WeightEngine(consts), m_max=40)
     assert not report.passed
     assert "claim-1" in report.failing()
 
 
 def test_run_all_rejects_tiny_m_max(ref_constants):
     with pytest.raises(ValueError):
-        run_all(ref_constants, m_max=2)
+        run_all(WeightEngine(ref_constants), m_max=2)

@@ -4,6 +4,7 @@ determinism of every emitted artifact."""
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -289,6 +290,47 @@ def test_build_refuses_cap_below_family_floor(tmp_path, capsys, family):
     err = capsys.readouterr().err
     assert f"family certificate failed: family-{family}" in err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+@pytest.mark.parametrize("extra,named", [
+    pytest.param({"M": 1.01}, r"certificate battery failed: .*claim-1",
+                 id="M-1.01"),
+    pytest.param({"L": 0.9}, r"certificate battery failed: radius-bound",
+                 id="L-0.9"),
+    pytest.param({"alpha": 0.95, "C": 0.11}, r"family certificate failed",
+                 id="cap-below-floor"),
+])
+def test_load_reruns_the_gate(tmp_path, capsys, monkeypatch, command, family,
+                              extra, named):
+    # a file written with the gate switched off is refused on load, exit 2,
+    # naming the certificate that fails, as build would have refused it
+    cfg = write_cfg(tmp_path, family=family, **extra)
+    # synthetic barriers themselves refuse a cap below 3/2, so that file is
+    # the disk-exp one relabelled; the load gate refuses it first
+    low_cap = "C" in extra
+    writer = "disk-exp" if low_cap else family
+    ser = tmp_path / "s.json"
+    with monkeypatch.context() as mp:
+        mp.setattr(peakfn.certificates, "run_all",
+                   lambda engine, m_max: peakfn.CertificateReport({}))
+        mp.setattr(peakfn.families.BarrierFamily, "certificate",
+                   lambda self: {"name": "off", "passed": True})
+        assert cli.main(["build", "--config",
+                         str(write_cfg(tmp_path, "w.json", family=writer,
+                                       **extra)),
+                         "--terms", "20", "--series", str(ser)]) == 0
+    ser.write_text(ser.read_text().replace(f'"{writer}"', f'"{family}"'))
+    capsys.readouterr()
+    rc = cli.main([command, "--config", str(cfg), "--series", str(ser),
+                   "--grid", "log:1e-6:1.0:5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(named, captured.err), captured.err
+    if low_cap:
+        assert f"family-{family}" in captured.err
 
 
 def _declared_entry_point():

@@ -159,16 +159,22 @@ def test_build_refuses_bad_constants(ref_constants):
     bad = Constants.from_dict({**ref_constants.to_dict(), "D": 0.2})
     fam = synthetic_family(bad)
     with pytest.raises(BuildRefusedError):
-        build(fam, bad, n_terms=10, m_max=10)
+        build(fam, n_terms=10, m_max=10)
 
 
-def test_build_refuses_family_of_other_constants(ref_constants):
-    # family and certificate battery must be judged on one set of numbers
-    other = dataclasses.replace(ref_constants, C=3.0)
-    for fam in (synthetic_family(other),
-                peakfn.disk_exponential_family(other)):
-        with pytest.raises(BuildRefusedError, match="other constants"):
-            build(fam, ref_constants, n_terms=5, m_max=10)
+def test_build_holds_the_certified_weights(ref_constants, monkeypatch):
+    # one engine per build: the battery runs on it and the series reads its
+    # head weights from the same caches
+    engines = []
+    run_all = peakfn.certificates.run_all
+
+    def recording(engine, m_max):
+        engines.append(engine)
+        return run_all(engine, m_max)
+
+    monkeypatch.setattr(peakfn.certificates, "run_all", recording)
+    ser = build(synthetic_family(ref_constants), n_terms=20)
+    assert len(engines) == 1 and engines[0] is ser.engine
 
 
 def test_round_trip_is_bit_identical(ref_series, tmp_path):
@@ -254,12 +260,15 @@ def test_load_rejects_malformed(tmp_path):
     {"constants": {"alpha": 0.5}},
     # p = 0 divides by zero in the schedule's power coefficient
     {"p": 0.0},
-], ids=["family", "n_terms", "constants", "p-zero"])
+    # outside the hypothesis range (0, 1]; sigma does not depend on s, so
+    # the rebuild alone matches the file
+    {"s": 2.0},
+], ids=["family", "n_terms", "constants", "p-zero", "s-out-of-range"])
 def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
     path = tmp_path / "series.json"
     save_series(ref_series, path)
     payload = json.loads(path.read_text())
-    if "p" in edit:
+    if "p" in edit or "s" in edit:
         payload["constants"].update(edit)
     else:
         payload.update(edit)
@@ -268,10 +277,25 @@ def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
         load_series(path)
 
 
+@pytest.mark.parametrize("name,factor", [("p", 0.9), ("q", 0.99), ("k", 0.5)])
+def test_load_refuses_underived_constants(ref_constants, tmp_path, name,
+                                          factor):
+    # the file matches its rebuild and the battery passes, but the tail
+    # bracket and the claim-1 proof assume p, q and k derived from t, M and
+    # alpha (Mk = (1-alpha)/2)
+    bad = dataclasses.replace(
+        ref_constants, **{name: getattr(ref_constants, name) * factor})
+    path = tmp_path / "series.json"
+    save_series(build(synthetic_family(bad), n_terms=20), path)
+    with pytest.raises(ConfigError, match=f"malformed series file .*: "
+                                          f"{name} not derived"):
+        load_series(path)
+
+
 @pytest.fixture(scope="module")
 def disk_series(ref_constants):
     fam = peakfn.disk_exponential_family(ref_constants)
-    return build(fam, ref_constants, n_terms=60)
+    return build(fam, n_terms=60)
 
 
 def test_disk_evaluate_peak_and_interior(disk_series):
@@ -304,7 +328,7 @@ def test_disk_round_trip(disk_series, tmp_path):
 def test_split_index_beyond_head(ref_constants):
     # a tiny head forces the split logic past the stored radii
     fam = synthetic_family(ref_constants)
-    ser = build(fam, ref_constants, n_terms=4, m_max=10)
+    ser = build(fam, n_terms=4, m_max=10)
     res = ser.evaluate(1e-12)
     assert res.m_of_y > 4
     assert res.abs_F.hi < 1.0
@@ -317,8 +341,7 @@ def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
     # evaluate widens the head box by the barrier pad and, past the head, by
     # the ceiling sum_{N < j < m} (C/M) g(j).hi; each must be at least the
     # exact sum of its float terms, which a sum rounded to nearest misses
-    ser = build(synthetic_family(ref_constants), ref_constants, n_terms=n,
-                m_max=10)
+    ser = build(synthetic_family(ref_constants), n_terms=n, m_max=10)
     deltas = []
     widen = ComplexEnclosure.widen
 
@@ -472,7 +495,7 @@ def reference_cases(ref_constants):
     def series(family, n):
         if (family, n) not in built:
             fam = peakfn.family_by_name(family, ref_constants)
-            built[family, n] = build(fam, ref_constants, n_terms=n)
+            built[family, n] = build(fam, n_terms=n)
         return built[family, n]
     return series
 
