@@ -55,7 +55,8 @@ class DomainModel:
 
 
 def _interval_member(z: complex) -> bool:
-    return z.imag == 0.0 and -1e-13 <= z.real <= 1.0 + 1e-13
+    # no shell below 0: every barrier is 1 there, so F would be 1 too
+    return z.imag == 0.0 and 0.0 <= z.real <= 1.0 + 1e-13
 
 
 def _disk_member(z: complex) -> bool:
@@ -88,6 +89,7 @@ class BarrierFamily:
     min_log_inv_r: float  # radii restricted to r <= exp(-min_log_inv_r)
     cap_floor: float  # condition (3) holds at r iff C log^t(1/r) >= cap_floor
     _make: Callable[[float], Barrier]
+    _off_bound: Callable[[complex, float], float]
 
     def _in_range(self, log_inv_r: float) -> bool:
         return log_inv_r >= self.min_log_inv_r - 1e-12
@@ -99,6 +101,12 @@ class BarrierFamily:
                 f"family {self.name!r} is defined for r <= {r_max:.6g}; "
                 f"got log(1/r) = {log_inv_r!r}")
         return self._make(float(log_inv_r))
+
+    def off_ball_bound(self, y: complex, log_inv_r: float) -> float:
+        """Upper bound on |f_r(y)|, rounded up, for every radius
+        r <= min(exp(-log_inv_r), |y - x|) at a point y the domain admits;
+        it does not increase as log_inv_r grows."""
+        return self._off_bound(complex(y), float(log_inv_r))
 
     def certificate(self) -> dict:
         """Closed-form certificate of the four barrier conditions at every
@@ -192,6 +200,8 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
         min_log_inv_r=math.log(10.0),
         cap_floor=1.5,
         _make=make,
+        # f_r(y) = alpha exactly for y > r
+        _off_bound=lambda y, lir: alpha,
     )
 
 
@@ -248,6 +258,18 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
 
         return Barrier(log_inv_r=lir, func=f)
 
+    def off_bound(z: complex, lir: float) -> float:
+        # the modulus exp(lambda_r Re(z-1)) as f computes it, which is 1
+        # wherever Re z = 1; rounded up past the error of cmath.exp and abs
+        dx = min(z.real - 1.0, 0.0)
+        if dx == 0.0:
+            mod = 1.0
+        else:
+            # exp(-exp(7)) underflows to 0, which the step up covers
+            lw = log_2_log_inv_alpha + 2.0 * lir + math.log(-dx)
+            mod = math.exp(-math.exp(min(lw, 7.0)))
+        return math.nextafter(mod * (1.0 + 2.0 ** -50), math.inf)
+
     return BarrierFamily(
         name="disk-exp",
         domain=UNIT_DISK,
@@ -256,6 +278,7 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
         min_log_inv_r=math.log(1.0 / 0.2),
         cap_floor=1.0,
         _make=make,
+        _off_bound=off_bound,
     )
 
 

@@ -9,8 +9,10 @@ eps_m^s}.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +74,9 @@ class PeakSeries:
     sigma_hi: np.ndarray = field(init=False, repr=False, compare=False)
     thresholds: np.ndarray = field(          # 1 + eps_j^s, j = 1..N
         init=False, repr=False, compare=False)
+    # _mass_after(k) by k, filled on first use
+    _masses: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.sigma_lo = np.array([e.lo for e in self.sigma_head])
@@ -93,7 +98,14 @@ class PeakSeries:
 
     def evaluate(self, y: complex) -> EvalResult:
         """Enclosure of F(y) and the case label of y, from one evaluation
-        of each head barrier.
+        of each head barrier up to the split index m = m(y).
+
+        Past m every barrier lies off its ball.  So when m < N and the
+        family's off_ball_bound phi at r_{m+1} is at most alpha, only
+        f_1..f_m are called: the weight after them, sum_{j>m} sigma_j plus
+        the tail after the head, is charged the exact off value, or phi
+        plus the barrier pad the called terms carry.  At the peak, when
+        m >= N, and where phi > alpha, all N head barriers are called.
 
         The head sum sum_j [sigma_j] f_j(y) is two interval dot products
         (real and imaginary parts; see _dot) widened by the barrier pad
@@ -103,52 +115,86 @@ class PeakSeries:
         """
         y = self.family.domain.require(y)
         m = self.split_index(y)
-        vals = np.array([bar.func(y) for bar in self.barriers], dtype=complex)
+        n = self.n_terms
+        # the barriers called: f_1..f_k
+        k = n
+        if 0 < m < n:
+            phi = self.family.off_ball_bound(y, self.log_inv_r[m])
+            if phi <= self.consts.alpha:
+                k = m
+        vals = np.array([bar.func(y) for bar in self.barriers[:k]],
+                        dtype=complex)
+        sig_lo, sig_hi = self.sigma_lo[:k], self.sigma_hi[:k]
         # hypot of the parts is what abs() of a Python complex computes;
         # np.abs of a complex array can differ from it in the last bit
         mods = np.hypot(vals.real, vals.imag)
-        num = ComplexEnclosure(
-            _dot(self.sigma_lo, self.sigma_hi, vals.real),
-            _dot(self.sigma_lo, self.sigma_hi, vals.imag))
-        num = num.widen(
-            _sum_up((self.sigma_hi * mods * BARRIER_EVAL_REL).tolist()))
+        num = ComplexEnclosure(_dot(sig_lo, sig_hi, vals.real),
+                               _dot(sig_lo, sig_hi, vals.imag))
+        num = num.widen(_sum_up((sig_hi * mods * BARRIER_EVAL_REL).tolist()))
         # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s
         running = np.maximum.accumulate(mods)
-        hits = np.flatnonzero(running >= self.thresholds)
+        hits = np.flatnonzero(running >= self.thresholds[:k])
+        if hits.size:
+            member_m = int(hits[0]) + 1
+        elif k < n:
+            # past k every |f_j| <= phi <= alpha < 1 + eps_j^s, so the
+            # running maximum stays that of f_1..f_k: the first hit is the
+            # first of the non-increasing thresholds at or below it, and
+            # without one y lies outside every W_j
+            member_m = 1 + bisect.bisect_left(
+                self.thresholds, -running[-1], lo=k, key=operator.neg)
+        else:
+            member_m = n + 1
         alpha_tol = self.consts.alpha + GUARD * max(1.0, self.consts.alpha)
         if m == 0:
             case = None
-        elif hits.size:
-            member_m = int(hits[0]) + 1
+        elif member_m <= n:
             case = CaseLabel(
                 "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
-        elif running[-1] < self.thresholds[-1] and mods.min() <= alpha_tol:
+        elif k < n or mods.min() <= alpha_tol:
             case = CaseLabel("outside-all-W")
         else:
             case = CaseLabel("head-exhausted")
-        start = self.n_terms + 1
+        start = n + 1
         if m > start:
             # indices past the head but before the split: on-ball ceiling
             # C log^t(1/r_j) <= C psi(j)^t, and sigma_j C psi^t = (C/M) g(j)
             ratio = self.consts.C / self.consts.M
             num = num.widen(_sum_up(
                 [ratio * self.engine.g(j).hi for j in range(start, m)]))
-        far_start = max(m, start)
-        if far_start == start:
+        if k < n:
+            far_tail = self._mass_after(k)
+        elif m <= start:
             far_tail = self.tail_after_head
         else:
-            far_tail = self.engine.tail(far_start - 1)
+            far_tail = self.engine.tail(m - 1)
         off = self.family.exact_off_value
         if m == 0:
             # every f_j is 1 at the peak by condition (1)
             num = num + ComplexEnclosure.from_real(far_tail)
         elif off is not None:
             num = num + ComplexEnclosure.from_real(far_tail * off)
+        elif k < n:
+            bound = phi * far_tail.hi
+            num = num.widen(_sum_up([bound, bound * BARRIER_EVAL_REL]))
         else:
             num = num.widen(self.consts.alpha * far_tail.hi)
         f_enc = num.div_real(self.normalizer)
         return EvalResult(point=y, m_of_y=m, F=f_enc,
                           abs_F=f_enc.abs_bounds(), case=case)
+
+    def _mass_after(self, k: int) -> Enclosure:
+        """Enclosure of sum_{j>k} sigma_j over the head and its tail, each
+        end one fsum rounded outward; cached per k."""
+        mass = self._masses.get(k)
+        if mass is None:
+            lo = math.fsum(self.sigma_lo[k:].tolist()
+                           + [self.tail_after_head.lo])
+            hi = _sum_up(self.sigma_hi[k:].tolist()
+                         + [self.tail_after_head.hi])
+            mass = self._masses[k] = Enclosure(
+                math.nextafter(lo, -math.inf), hi)
+        return mass
 
     def classify(self, y: complex) -> CaseLabel:
         """Case label of an off-peak point; see evaluate."""

@@ -110,10 +110,40 @@ def test_disk_barrier_tolerance_shell_is_safe(disk):
     assert abs(deep(z)) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("name", ["synthetic", "disk-exp"])
+def test_off_ball_bound_does_not_grow_as_r_shrinks(ref_constants, name):
+    fam = family_by_name(name, ref_constants)
+    rng = random.Random(7)
+    off_ball = 0
+    for _ in range(300):
+        d = 10.0 ** rng.uniform(-30.0, 0.0)
+        if fam.domain.dimension == 1:
+            y = complex(d, 0.0)
+        else:
+            y = fam.domain.peak - d * cmath.exp(
+                complex(0.0, rng.uniform(0.0, 2.0 * math.pi)))
+            if not fam.domain.contains(y):
+                continue
+        lirs = sorted(rng.uniform(fam.min_log_inv_r, 800.0) for _ in range(6))
+        bounds = [fam.off_ball_bound(y, lir) for lir in lirs]
+        assert all(b > 0.0 for b in bounds)
+        assert bounds == sorted(bounds, reverse=True)
+        # it bounds every barrier whose ball y lies off
+        for lir, b in zip(lirs, bounds):
+            if math.exp(-lir) < d:
+                off_ball += 1
+                assert abs(fam.barrier(lir)(y)) <= b
+    assert off_ball > 500
+
+
 def test_domains():
     assert UNIT_INTERVAL.contains(0.5)
     assert not UNIT_INTERVAL.contains(1.5)
     assert not UNIT_INTERVAL.contains(0.5 + 0.1j)
+    # the shell above 1 stays; below the peak no shell is admitted
+    assert UNIT_INTERVAL.contains(0.0) and UNIT_INTERVAL.contains(1.0 + 1e-13)
+    assert not UNIT_INTERVAL.contains(-1e-14)
+    assert not UNIT_INTERVAL.contains(-5e-324)
     assert UNIT_DISK.contains(0.5 + 0.5j)
     assert not UNIT_DISK.contains(1.2)
     assert UNIT_DISK.distance_to_peak(0.0) == 1.0

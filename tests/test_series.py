@@ -52,23 +52,42 @@ def test_peak_enclosure_comes_from_the_sum(ref_series):
     assert res.F.re.lo > 1.1
 
 
-def test_verify_peak_calls_each_barrier_once_per_point(ref_series):
-    calls = [0] * ref_series.n_terms
+def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
+                                                       disk_series):
+    # off the peak f_j is called only for j <= m(y) where the family's
+    # off-ball bound at r_{m+1} is at most alpha; at the peak, and where the
+    # bound exceeds alpha (disk points with Re z = 1), every f_j is called
+    full_off_peak = 0
+    for ser in (ref_series, disk_series):
+        calls = {}
 
-    def counted(j, func):
-        def wrapper(z):
-            calls[j] += 1
-            return func(z)
-        return wrapper
+        def counted(j, func):
+            def wrapper(z):
+                calls.setdefault(z, []).append(j)
+                return func(z)
+            return wrapper
 
-    ser = dataclasses.replace(ref_series, barriers=[
-        dataclasses.replace(b, func=counted(j, b.func))
-        for j, b in enumerate(ref_series.barriers)])
-    k = 7
-    rep = ser.verify_peak(("log", 1e-20, 1.0, k))
-    assert rep["passed"]
-    # k grid points plus the peak
-    assert calls == [k + 1] * ref_series.n_terms
+        counting = dataclasses.replace(ser, barriers=[
+            dataclasses.replace(b, func=counted(j, b.func))
+            for j, b in enumerate(ser.barriers, 1)])
+        points = make_grid(ser.family, "log", 1e-20, 1.0, 56)
+        rep = counting.verify_peak(points)
+        assert rep["passed"]
+        assert set(calls) == set(points) | {ser.peak}
+        alpha = ser.consts.alpha
+        n = ser.n_terms
+        for y, pp in zip(points, rep["per_point"]):
+            m = pp["m_of_y"]
+            k = m
+            if (m >= n or
+                    ser.family.off_ball_bound(y, ser.log_inv_r[m]) > alpha):
+                k = n
+                full_off_peak += 1
+            # the disk grid can hold a point twice: near the peak two
+            # angles of one shell can round to the same point
+            assert calls[y] == list(range(1, k + 1)) * points.count(y)
+        assert calls[ser.peak] == list(range(1, n + 1))
+    assert full_off_peak > 0
 
 
 def test_evaluate_forced_region(ref_series):
@@ -97,6 +116,13 @@ def test_evaluate_deep_point(ref_series):
 def test_evaluate_rejects_outside(ref_series):
     with pytest.raises(DomainError):
         ref_series.evaluate(2.0)
+    # below the peak every synthetic barrier is 1, so F is 1 there
+    for y in (-1e-14, -5e-14, -1e-13):
+        with pytest.raises(DomainError):
+            ref_series.evaluate(y)
+    with pytest.raises(DomainError):
+        ref_series.verify_peak([-1e-14, -5e-14])
+    assert ref_series.evaluate(1.0 + 1e-13).abs_F.hi < 1.0
     with pytest.raises(DomainError):
         ref_series.evaluate(0.5 + 0.5j)
 
@@ -504,7 +530,10 @@ def reference_cases(ref_constants):
     ("synthetic", 100, ("log", 1e-30, 1.0, 500)),
     ("synthetic", 1000, ("log", 1e-30, 1.0, 500)),
     ("disk-exp", 100, ("log", 1e-12, 1.0, 200)),
-], ids=["synthetic-100", "synthetic-1000", "disk-exp-100"])
+    ("disk-exp", 100, ("log", 1e-30, 1.0, 500)),
+    ("synthetic", 1000, ("linear", 1e-6, 1.0, 300)),
+], ids=["synthetic-100", "synthetic-1000", "disk-exp-100",
+        "disk-exp-100-eval-grid", "synthetic-1000-linear"])
 def test_evaluate_agrees_with_per_term_chain(reference_cases, family, n,
                                              grid):
     ser = reference_cases(family, n)
@@ -515,3 +544,72 @@ def test_evaluate_agrees_with_per_term_chain(reference_cases, family, n,
         for a, b in ((new.F.re, ref.F.re), (new.F.im, ref.F.im)):
             assert max(a.lo, b.lo) <= min(a.hi, b.hi)
         assert new.abs_F.hi <= ref.abs_F.hi * (1.0 + 1e-15)
+
+
+# -- the off-ball bound past the split index ---------------------------------
+
+
+def _off_ball_excess(ser, bound, grid):
+    """(y, j) for every head index j > m(y) where |f_j(y)| exceeds
+    bound(y, log(1/r_{m+1})), the bound evaluate charges those terms."""
+    excess = []
+    for y in make_grid(ser.family, *grid):
+        m = ser.split_index(y)
+        if m >= ser.n_terms:
+            continue
+        phi = bound(y, ser.log_inv_r[m])
+        excess.extend((y, j) for j in range(m + 1, ser.n_terms + 1)
+                      if abs(ser.barriers[j - 1].func(y)) > phi)
+    return excess
+
+
+REFERENCE_GRIDS = [("log", 1e-30, 1.0, 500), ("log", 1e-30, 1.0, 100),
+                   ("log", 1e-12, 1.0, 200), ("linear", 1e-6, 1.0, 300)]
+
+
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+def test_off_ball_bound_holds_past_the_split(reference_cases, family):
+    ser = reference_cases(family, 100)
+    for grid in REFERENCE_GRIDS:
+        assert _off_ball_excess(ser, ser.family.off_ball_bound, grid) == []
+    # evaluate finds a first hit past the split by binary search
+    assert np.all(np.diff(ser.thresholds) <= 0.0)
+
+
+def test_understated_off_ball_bounds_fail(reference_cases):
+    # alpha^((d/r)^2) bounds the barrier inside the closed disk, but the
+    # grid points with Re z = 1 (where |z| > 1 in exact arithmetic) have
+    # |f_j| = 1 for every j
+    disk = reference_cases("disk-exp", 100)
+    log_alpha = math.log(disk.consts.alpha)
+
+    def gaussian(y, lir):
+        dist = disk.family.domain.distance_to_peak(y)
+        return math.exp(log_alpha * math.exp(2.0 * (math.log(dist) + lir)))
+
+    for grid in REFERENCE_GRIDS[:3]:
+        excess = _off_ball_excess(disk, gaussian, grid)
+        assert excess
+        assert all(y.real == 1.0 for y, _ in excess)
+    # an off value a little below the synthetic family's alpha
+    syn = reference_cases("synthetic", 100)
+    low = syn.consts.alpha - 1e-3
+    for grid in REFERENCE_GRIDS:
+        excess = _off_ball_excess(syn, lambda y, lir: low, grid)
+        assert {y for y, _ in excess} == set(make_grid(syn.family, *grid))
+
+
+def test_off_ball_widening_nests_the_per_term_chain(reference_cases):
+    # alpha is a loose but valid bound inside the disk; charged to every
+    # term past the split, it must widen the box around all the terms the
+    # per-term chain sums, which a missing or short widening would not
+    disk = reference_cases("disk-exp", 100)
+    alpha = disk.consts.alpha
+    loose = dataclasses.replace(disk, family=dataclasses.replace(
+        disk.family, _off_bound=lambda y, lir: alpha))
+    for y in make_grid(disk.family, "linear", 1e-6, 1.0, 300):
+        new, ref = loose.evaluate(y), _reference_evaluate(disk, y)
+        assert (new.case, new.m_of_y) == (ref.case, ref.m_of_y)
+        assert new.m_of_y < disk.n_terms
+        for a, b in ((new.F.re, ref.F.re), (new.F.im, ref.F.im)):
+            assert a.encloses(b)
