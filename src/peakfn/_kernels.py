@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 # Gauss-Legendre 7-point abscissae and weights on [-1, 1], non-negative half.
 GAUSS7_X = (0.9491079123427585, 0.7415311855993945, 0.4058451513773972, 0.0)
 GAUSS7_W = (
@@ -91,8 +93,61 @@ def quad_psi_negt(a, b, lid, ca, p, t):
     rounding premises hold: with libm pow within 1 ulp and 1+p rounded,
     pow(psi_val(tau), -t) is within (4 + 2 ln max(tau, 1)) u of
     psi(tau)^(-t), and |d/dtau psi^(-t)| <= t (1+p) psi^(-t)/tau.
+
+    quad_unit_panels must give the same floats for the panels [j-1, j],
+    so it too calls libm pow at every node: numpy's power differs from
+    libm's in the last bit on about 5% of inputs, and the premise above is
+    stated for libm.
     """
     return bracket_quad(lambda s: math.pow(psi_val(s, lid, ca, p), -t), a, b)
+
+
+def quad_unit_panels(first: int, count: int, lid, ca, p, t):
+    """quad_psi_negt(j - 1, j, lid, ca, p, t) for j = first..first+count-1,
+    as two float arrays (lo, hi); first >= 2.
+
+    The same floats, in one pass: bracket_quad's node coordinates and its
+    Gauss and Lobatto sums, in its order, are numpy's elementwise + - * /,
+    which round correctly like Python's.  Every pow, and the log in rho,
+    stays a libm call per element, since numpy's may differ in the last
+    bit.  A panel whose depth-0 bracket is too wide goes to quad_psi_negt,
+    which bisects it.
+    """
+    ends = np.arange(first - 1, first + count, dtype=float)
+    pa, pb = ends[:-1], ends[1:]
+    c = 0.5 * (pa + pb)
+    h = 0.5 * (pb - pa)
+    gdx = [h * x for x in GAUSS7_X[:3]]
+    ldx = [h * x for x in LOBATTO6_X[1:]]
+    # a shared panel end is one node; every node is >= 1, where psi_val
+    # does not clamp, so it is inlined below
+    nodes = np.concatenate([ends, c] + [c - dx for dx in gdx + ldx]
+                           + [c + dx for dx in gdx + ldx])
+    pw = math.pow
+    e = 1.0 + p
+    f = np.array([pw(s * lid + ca * pw(s, e), -t) for s in nodes.tolist()])
+    f_end = f[:count + 1]
+    f_c, f_minus, f_plus = np.split(f[count + 1:], [count, 6 * count])
+    f_minus = f_minus.reshape(5, count)
+    f_plus = f_plus.reshape(5, count)
+    gauss = GAUSS7_W[3] * f_c
+    for i in range(3):
+        gauss = gauss + GAUSS7_W[i] * (f_minus[i] + f_plus[i])
+    lobatto = LOBATTO6_W[0] * (f_end[:-1] + f_end[1:])
+    for i in (1, 2):
+        lobatto = lobatto + LOBATTO6_W[i] * (f_minus[i + 2] + f_plus[i + 2])
+    gauss = gauss * h
+    lobatto = lobatto * h
+    # bracket_quad's rho, where max(pa, 1) = pa
+    log_b = np.array([math.log(b) for b in pb.tolist()])
+    rho = (32.0 + 2.0 * log_b + 8.0 * pb / pa) * _U
+    pad = 3 * _U   # one accepted panel
+    lo = gauss * (1.0 - rho) * (1.0 - pad)
+    hi = lobatto * (1.0 + rho) * (1.0 + pad)
+    for i in np.flatnonzero(~(lobatto - gauss <= REL_WIDTH * gauss)).tolist():
+        j = first + i
+        lo[i], hi[i] = quad_psi_negt(j - 1.0, float(j), lid, ca, p, t)
+    return lo, hi
 
 
 def pow_sums(n: int, e: float):

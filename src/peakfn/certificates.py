@@ -224,6 +224,8 @@ def run_all(engine: WeightEngine, m_max: int = 120) -> CertificateReport:
     if m_max < 3:
         raise ValueError("m_max must be at least 3")
     consts = engine.consts
+    # claim 2 reads sigma and g up to m_max + 1: one batch
+    engine.reserve(m_max + 1)
     report = CertificateReport(constants=consts.to_dict())
     report.record(check_first_shell(consts))
     report.record(check_eps_condition(consts, (3, m_max)))

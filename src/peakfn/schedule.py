@@ -79,6 +79,17 @@ class Schedule:
         self._ensure_radii(m)
         return self._lir[m - 1]
 
+    def log_inv_radii(self, n: int) -> list[float]:
+        """[log(1/r_1), ..., log(1/r_n)], the floats of log_inv_radius."""
+        self._ensure_radii(n)
+        return self._lir[:n]
+
+    def log_inv_epsilons(self, n: int) -> list[float]:
+        """[log(1/eps_1), ..., log(1/eps_n)], the floats of log_inv_eps."""
+        self._ensure_psums(n)
+        lid, lia = self._lid, self._lia
+        return [lid + s * lia for s in self._psums[:n]]
+
     def log_inv_radius_closed(self, m: int) -> float:
         """Closed form m*log(1/D) + log(1/A)*[(m-1) + sum_{j<m}(m-j)j^(p-1)].
 

@@ -160,6 +160,7 @@ class PeakSeries:
             # indices past the head but before the split: on-ball ceiling
             # C log^t(1/r_j) <= C psi(j)^t, and sigma_j C psi^t = (C/M) g(j)
             ratio = self.consts.C / self.consts.M
+            self.engine.reserve(m)
             num = num.widen(_sum_up(
                 [ratio * self.engine.g(j).hi for j in range(start, m)]))
         if k < n:
@@ -279,11 +280,14 @@ def build(fam: BarrierFamily, n_terms: int = 100,
     if not cert["passed"]:
         raise BuildRefusedError(f"family certificate failed: {cert['name']}")
     sched = engine.schedule
-    sigma_head = [engine.sigma(j) for j in range(1, n_terms + 1)]
+    # the tail after the head reads sigma and g at N + 1
+    engine.reserve(n_terms + 1)
+    sig_lo, sig_hi = engine.sigma_bounds(n_terms)
+    sigma_head = list(map(Enclosure, sig_lo, sig_hi))
     prefix = engine.sigma_prefix(n_terms)
     tail = engine.tail(n_terms)
-    lirs = [sched.log_inv_radius(j) for j in range(1, n_terms + 1)]
-    lies = [sched.log_inv_eps(j) for j in range(1, n_terms + 1)]
+    lirs = sched.log_inv_radii(n_terms)
+    lies = sched.log_inv_epsilons(n_terms)
     return PeakSeries(
         family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
         sigma_prefix_head=prefix, tail_after_head=tail,
@@ -354,10 +358,11 @@ def load_series(path, m_max: int = 120) -> PeakSeries:
     """Rebuild the series a file names through build and refuse the file
     unless it holds exactly the rebuilt numbers.
 
-    Only format, family, constants and n_terms are read as inputs.  The
-    hypothesis constants must lie in their ranges, and p, q and k must be
-    the ones t, M and alpha derive, as the tail bracket and the claim-1
-    proof assume.  The rebuild reruns the certificate battery (up to
+    Only format, family, constants and n_terms are read as inputs, and
+    the head arrays must hold n_terms entries before anything is rebuilt.
+    The hypothesis constants must lie in their ranges, and p, q and k
+    must be the ones t, M and alpha derive, as the tail bracket and the
+    claim-1 proof assume.  The rebuild reruns the certificate battery (up to
     m_max) and the family certificate, so a file whose constants fail
     either is refused as build refuses them (BuildRefusedError).  The
     weights, tail, normalizer and schedule in the file must equal the
@@ -376,6 +381,18 @@ def load_series(path, m_max: int = 120) -> PeakSeries:
             f"expected {SERIES_FORMAT!r}")
     # written by versions that still had an adjustable quadrature tolerance
     payload.pop("quad_rel_tol", None)
+    # the rebuild costs O(n_terms): refuse a head that cannot match first
+    n = payload.get("n_terms")
+    if type(n) is not int or n < 1:
+        raise ConfigError(f"malformed series file {path!r}: n_terms must be "
+                          f"a positive integer, got {n!r}")
+    short = [key for key in ("log_inv_eps", "log_inv_r", "sigma_head")
+             if not isinstance(payload.get(key), list)
+             or len(payload[key]) != n]
+    if short:
+        raise ConfigError(f"malformed series file {path!r}: "
+                          f"{', '.join(short)} must hold n_terms = {n} "
+                          "entries")
     try:
         consts = Constants.from_dict(payload["constants"])
         HypothesisConstants(consts.alpha, consts.s, consts.t, consts.A,
@@ -388,7 +405,7 @@ def load_series(path, m_max: int = 120) -> PeakSeries:
             raise ValueError(f"{', '.join(underived)} not derived from t, M "
                              "and alpha")
         fam = families.family_by_name(payload["family"], consts)
-        series = build(fam, int(payload["n_terms"]), m_max=m_max)
+        series = build(fam, n, m_max=m_max)
     except (KeyError, TypeError, ValueError, ArithmeticError,
             FamilyAuditError) as exc:
         raise ConfigError(f"malformed series file {path!r}: {exc}") from exc

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import _kernels
 from .enclosure import ZERO, Enclosure
 from .errors import DomainError, InvalidParameterError
@@ -25,8 +27,23 @@ UNIT_CACHE_CAP = 20_000
 A2_ULPS = 16
 
 
+def _down(x: np.ndarray) -> np.ndarray:
+    """Two ulps down, as Enclosure pads each lower end."""
+    return np.nextafter(np.nextafter(x, -math.inf), -math.inf)
+
+
+def _up(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, math.inf), math.inf)
+
+
 class WeightEngine:
     """Cached enclosures of I, g, sigma and their prefix sums and tails.
+
+    The caches hold the lower and upper ends as float lists, for j = 0..n
+    (I and g) or 1..n (sigma), n the largest index asked for so far.
+    reserve grows them in one batch over float arrays, with the very
+    floats the Enclosure arithmetic gives index by index; the public
+    methods wrap the ends they return in an Enclosure.
 
     Not thread-safe: queries grow the caches in place.
     """
@@ -39,9 +56,11 @@ class WeightEngine:
         psi1 = self.schedule.psi(1.0)
         # psi(1)^(-t) through two libm calls: pad generously
         self._psi1_negt = Enclosure.from_libm(math.pow(psi1, -consts.t), ulps=8)
-        self._i_enc: list[Enclosure] = [ZERO]
-        self._sigma: list[Enclosure] = []
-        self._sigma_prefix: list[Enclosure] = [ZERO]
+        self._i_lo, self._i_hi = [0.0], [0.0]
+        self._g_lo, self._g_hi = [1.0], [1.0]
+        self._sig_lo: list[float] = []
+        self._sig_hi: list[float] = []
+        self._pre_lo, self._pre_hi = [0.0], [0.0]
 
     # -- quadrature ------------------------------------------------------
 
@@ -50,14 +69,87 @@ class WeightEngine:
         return Enclosure(*_kernels.quad_psi_negt(
             a, b, self._lid, self._ca, self.consts.p, self.consts.t))
 
-    def _ensure_integer_i(self, n: int) -> None:
-        cache = self._i_enc
-        while len(cache) <= n:
-            j = len(cache)  # next integer point
-            if j == 1:
-                cache.append(self._psi1_negt * 1.0)
-            else:
-                cache.append(cache[-1] + self._quad_panel(float(j - 1), float(j)))
+    def _integer_i(self, j0: int, n: int) -> tuple[list, list]:
+        """Ends of I(j) for j = j0..n, j0 = len(cache) >= 1: I(1) is
+        psi(1)^(-t), then unit panels are added up to UNIT_CACHE_CAP, and
+        past it I(j) is I(cap) plus the one panel [cap, j]."""
+        i_lo, i_hi = self._i_lo, self._i_hi
+        lo, hi = i_lo[-1], i_hi[-1]
+        out_lo, out_hi = [], []
+        nx, inf = math.nextafter, math.inf
+        if j0 == 1:
+            first = self._psi1_negt * 1.0
+            lo, hi = first.lo, first.hi
+            out_lo.append(lo)
+            out_hi.append(hi)
+            j0 = 2
+        cap = UNIT_CACHE_CAP
+        if j0 <= min(n, cap):
+            q_lo, q_hi = _kernels.quad_unit_panels(
+                j0, min(n, cap) - j0 + 1, self._lid, self._ca,
+                self.consts.p, self.consts.t)
+            # the running sums stay sequential, each step rounded outward
+            for a, b in zip(q_lo.tolist(), q_hi.tolist()):
+                lo = nx(nx(lo + a, -inf), -inf)
+                hi = nx(nx(hi + b, inf), inf)
+                out_lo.append(lo)
+                out_hi.append(hi)
+        if n > cap:
+            base = Enclosure((i_lo + out_lo)[cap], (i_hi + out_hi)[cap])
+            for j in range(max(j0, cap + 1), n + 1):
+                enc = base + self._quad_panel(float(cap), float(j))
+                out_lo.append(enc.lo)
+                out_hi.append(enc.hi)
+        return out_lo, out_hi
+
+    def reserve(self, n: int) -> None:
+        """Fill the caches of I, g, sigma and the prefix sums up to j = n.
+
+        One batch: sigma_j = g(j) / (M psi(j)^t) with g = exp(-k I) runs
+        over float arrays in the order Enclosure's operators take, each end
+        rounded two ulps outward per operation and psi(j)^t eight, and
+        every exp and pow a libm call.
+        """
+        done = len(self._sig_lo)
+        if n <= done:
+            return
+        i_lo, i_hi = self._integer_i(done + 1, n)
+        lo, hi = np.array(i_lo), np.array(i_hi)
+        # I * (-k), then exp
+        neg_k = -self.consts.k
+        a, b = lo * neg_k, hi * neg_k
+        ex = math.exp
+        u_lo, u_hi = _down(np.minimum(a, b)), _up(np.maximum(a, b))
+        g_lo = _down(np.array([ex(v) for v in u_lo.tolist()]))
+        g_hi = _up(np.array([ex(v) for v in u_hi.tolist()]))
+        # psi(j)^t padded by 8 ulps, then times M
+        psi, pw = _kernels.psi_val, math.pow
+        lid, ca, p, t = self._lid, self._ca, self.consts.p, self.consts.t
+        psit = np.array([pw(psi(float(j), lid, ca, p), t)
+                         for j in range(done + 1, n + 1)])
+        p_lo, p_hi = psit, psit
+        for _ in range(8):
+            p_lo = np.nextafter(p_lo, -math.inf)
+            p_hi = np.nextafter(p_hi, math.inf)
+        m_const = self.consts.M
+        a, b = p_lo * m_const, p_hi * m_const
+        d_lo, d_hi = _down(np.minimum(a, b)), _up(np.maximum(a, b))
+        quot = (g_lo / d_lo, g_lo / d_hi, g_hi / d_lo, g_hi / d_hi)
+        s_lo = _down(np.minimum.reduce(quot)).tolist()
+        s_hi = _up(np.maximum.reduce(quot)).tolist()
+        self._i_lo += i_lo
+        self._i_hi += i_hi
+        self._g_lo += g_lo.tolist()
+        self._g_hi += g_hi.tolist()
+        self._sig_lo += s_lo
+        self._sig_hi += s_hi
+        nx, inf = math.nextafter, math.inf
+        plo, phi = self._pre_lo[-1], self._pre_hi[-1]
+        for a, b in zip(s_lo, s_hi):
+            plo = nx(nx(plo + a, -inf), -inf)
+            phi = nx(nx(phi + b, inf), inf)
+            self._pre_lo.append(plo)
+            self._pre_hi.append(phi)
 
     # -- core quantities ---------------------------------------------------
 
@@ -71,8 +163,8 @@ class WeightEngine:
             # psi is flat below 1, so the integral is exactly linear here
             return self._psi1_negt * x
         base = min(int(math.floor(x)), UNIT_CACHE_CAP)
-        self._ensure_integer_i(base)
-        enc = self._i_enc[base]
+        self.reserve(base)
+        enc = Enclosure(self._i_lo[base], self._i_hi[base])
         if x > float(base):
             enc = enc + self._quad_panel(float(base), x)
         return enc
@@ -81,36 +173,31 @@ class WeightEngine:
         """Decay factor exp(-k * I(x)); equals 1 at x = 0."""
         if x == 0.0:
             return Enclosure(1.0, 1.0)
+        j = int(x)
+        if j == x and 1 <= j and (j <= UNIT_CACHE_CAP
+                                  or j <= len(self._sig_lo)):
+            self.reserve(j)
+            return Enclosure(self._g_lo[j], self._g_hi[j])
         return (self.integral_I(x) * (-self.consts.k)).exp()
-
-    def _ensure_sigma(self, n: int) -> None:
-        if n <= len(self._sigma):
-            return
-        self._ensure_integer_i(min(n, UNIT_CACHE_CAP))
-        m_const = self.consts.M
-        t = self.consts.t
-        while len(self._sigma) < n:
-            j = len(self._sigma) + 1
-            g_enc = self.g(float(j))
-            psit = Enclosure.from_libm(
-                math.pow(self.schedule.psi(float(j)), t), ulps=8)
-            sig = g_enc / (psit * m_const)
-            self._sigma.append(sig)
-            self._sigma_prefix.append(self._sigma_prefix[-1] + sig)
 
     def sigma(self, j: int) -> Enclosure:
         """Weight sigma_j = g(j) / (M * psi(j)^t)."""
         if j < 1:
             raise InvalidParameterError(f"sigma needs j >= 1, got {j!r}")
-        self._ensure_sigma(j)
-        return self._sigma[j - 1]
+        self.reserve(j)
+        return Enclosure(self._sig_lo[j - 1], self._sig_hi[j - 1])
+
+    def sigma_bounds(self, n: int) -> tuple[list, list]:
+        """Lower and upper ends of sigma_1..sigma_n, as two float lists."""
+        self.reserve(n)
+        return self._sig_lo[:n], self._sig_hi[:n]
 
     def sigma_prefix(self, n: int) -> Enclosure:
         """Enclosure of sum_{j<=n} sigma_j (zero for n = 0)."""
         if n < 0:
             raise InvalidParameterError(f"prefix needs n >= 0, got {n!r}")
-        self._ensure_sigma(n)
-        return self._sigma_prefix[n]
+        self.reserve(n)
+        return Enclosure(self._pre_lo[n], self._pre_hi[n])
 
     def sigma_range(self, a: int, b: int) -> Enclosure:
         """Enclosure of sum_{j=a..b} sigma_j; zero when the range is empty."""

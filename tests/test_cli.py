@@ -232,6 +232,22 @@ class TestPipeline:
         assert "sigma_head differ" in captured.err
 
     @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_head_shorter_than_n_terms_refused(self, built, tmp_path, capsys,
+                                               command):
+        cfg, ser, _ = built
+        payload = json.loads(ser.read_text())
+        payload["n_terms"] = 20000
+        bad = tmp_path / "long.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli.main([command, "--config", str(cfg), "--series", str(bad),
+                       "--grid", "log:1e-6:1.0:5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("log_inv_eps, log_inv_r, sigma_head must hold n_terms = "
+                "20000 entries") in captured.err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
     @pytest.mark.parametrize("extra,named", [
         pytest.param({"alpha": 0.9}, "built from other constants than the "
                      "config's: alpha, D, k differ", id="alpha-0.9"),

@@ -123,3 +123,15 @@ def test_closed_form_property(ref_constants, m):
     a = sched.log_inv_radius(m)
     b = sched.log_inv_radius_closed(m)
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("n", [1, 17, 1000])
+def test_head_lists_equal_the_per_index_queries(ref_constants, n):
+    # build reads the schedule as two slices; a fresh schedule for each
+    # side, so the slices grow the caches themselves
+    head = Schedule(ref_constants)
+    one = Schedule(ref_constants)
+    assert head.log_inv_radii(n) == [one.log_inv_radius(j)
+                                     for j in range(1, n + 1)]
+    assert head.log_inv_epsilons(n) == [one.log_inv_eps(j)
+                                        for j in range(1, n + 1)]

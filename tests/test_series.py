@@ -247,8 +247,9 @@ def test_load_ignores_old_quad_rel_tol(ref_series, tmp_path):
 @pytest.mark.parametrize("tamper,named", [
     ("triple-all", "sigma_head differ"),
     ("one-ulp", "sigma_head differ"),
-    ("n_terms-99", "log_inv_eps, log_inv_r, normalizer, sigma_head, "
-                   "sigma_prefix_head, tail_after_head differ"),
+    # the head arrays still hold 100 entries: refused before any rebuild
+    ("n_terms-99", "log_inv_eps, log_inv_r, sigma_head must hold "
+                   "n_terms = 99 entries"),
 ], ids=["triple-all", "one-ulp", "n_terms-99"])
 def test_load_refuses_tampered_head(ref_series, tmp_path, tamper, named):
     path = tmp_path / "series.json"
@@ -300,6 +301,67 @@ def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
         payload.update(edit)
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match="malformed series file"):
+        load_series(path)
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"n_terms": 20000}, "log_inv_eps, log_inv_r, sigma_head must hold "
+                         "n_terms = 20000 entries"),
+    ({"n_terms": 100.0}, "n_terms must be a positive integer, got 100.0"),
+    ({"n_terms": True}, "n_terms must be a positive integer, got True"),
+    ({"n_terms": 0}, "n_terms must be a positive integer, got 0"),
+    ({"n_terms": None}, "n_terms must be a positive integer, got None"),
+    ({"sigma_head": "many"}, ": sigma_head must hold n_terms = 100 entries"),
+    ({"log_inv_r": None}, ": log_inv_r must hold n_terms = 100 entries"),
+], ids=["n_terms-20000", "float", "bool", "zero", "missing", "sigma-string",
+        "lir-missing"])
+def test_load_checks_head_shape_before_rebuild(ref_series, tmp_path,
+                                               monkeypatch, edit, named):
+    # the rebuild costs O(n_terms), so a head whose length cannot match is
+    # refused before build runs
+    path = tmp_path / "series.json"
+    save_series(ref_series, path)
+    payload = json.loads(path.read_text())
+    for key, value in edit.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran on a malformed head")
+
+    monkeypatch.setattr(peakfn.series, "build", no_build)
+    with pytest.raises(ConfigError, match=f"malformed series file .*{named}"):
+        load_series(path)
+
+
+@pytest.fixture(scope="module")
+def series_1000(ref_constants):
+    return build(synthetic_family(ref_constants), n_terms=1000)
+
+
+@pytest.mark.parametrize("key", ["sigma_head", "tail_after_head",
+                                 "log_inv_eps"])
+def test_load_refuses_one_ulp_at_the_end_of_the_head(series_1000, tmp_path,
+                                                     key):
+    # the rebuild is compared entry by entry up to the last one
+    path = tmp_path / "series.json"
+    save_series(series_1000, path)
+    payload = json.loads(path.read_text())
+    if key == "sigma_head":
+        lo, hi = payload[key][-1]
+        payload[key][-1] = [lo, math.nextafter(hi, math.inf)]
+    elif key == "tail_after_head":
+        lo, hi = payload[key]
+        payload[key] = [math.nextafter(lo, -math.inf), hi]
+    else:
+        payload[key][-1] = math.nextafter(payload[key][-1], math.inf)
+    assert len(payload["sigma_head"]) == 1000
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=f"does not match the rebuild from "
+                                          f"its constants: {key} differ"):
         load_series(path)
 
 

@@ -3,10 +3,13 @@ the structural identities (tail nesting, monotonicity, closed-form I on the
 flat segment)."""
 
 import math
+import random
 
 import pytest
 
-from peakfn import WeightEngine
+from peakfn import (HypothesisConstants, WeightEngine, _kernels,
+                    derive_constants, weights)
+from peakfn.enclosure import ZERO, Enclosure
 from peakfn.errors import DomainError, InvalidParameterError
 
 # frozen from the independent high-precision computation
@@ -134,7 +137,7 @@ def test_divergence_certificate_leaves_unit_cache_empty(ref_constants):
     # one adaptive integral over [s1, s2]: no unit panels are cached
     eng = WeightEngine(ref_constants)
     assert eng.divergence_certificate()["passed"]
-    assert len(eng._i_enc) == 1
+    assert len(eng._i_lo) == 1
 
 
 def test_decay_bound_check(engine):
@@ -184,3 +187,154 @@ def test_divergence_certificate_near_tie_fails(ref_constants):
     assert tie["certified_minorant"] == pytest.approx(
         tie["measured_increase"], rel=1e-12)
     assert not tie["passed"]
+
+
+class PerIndexChain:
+    """The weight chain one index at a time in Enclosure arithmetic, as the
+    engine computed it before its caches became float arrays; the batched
+    engine must give the same floats."""
+
+    def __init__(self, eng):
+        self.eng = eng
+        self.i_enc = [ZERO]
+        self.sigma = []
+        self.prefix = [ZERO]
+
+    def quad_panel(self, a, b):
+        c = self.eng.consts
+        return Enclosure(*_kernels.quad_psi_negt(
+            a, b, c.log_inv_D, self.eng.schedule.psi_power_coefficient,
+            c.p, c.t))
+
+    def ensure_integer_i(self, n):
+        while len(self.i_enc) <= n:
+            j = len(self.i_enc)
+            if j == 1:
+                self.i_enc.append(self.eng._psi1_negt * 1.0)
+            else:
+                self.i_enc.append(self.i_enc[-1]
+                                  + self.quad_panel(float(j - 1), float(j)))
+
+    def integral_I(self, x):
+        if x <= 1.0:
+            return self.eng._psi1_negt * x
+        base = min(int(math.floor(x)), weights.UNIT_CACHE_CAP)
+        self.ensure_integer_i(base)
+        enc = self.i_enc[base]
+        if x > float(base):
+            enc = enc + self.quad_panel(float(base), x)
+        return enc
+
+    def g(self, x):
+        return (self.integral_I(x) * (-self.eng.consts.k)).exp()
+
+    def ensure_sigma(self, n):
+        self.ensure_integer_i(min(n, weights.UNIT_CACHE_CAP))
+        consts = self.eng.consts
+        while len(self.sigma) < n:
+            j = len(self.sigma) + 1
+            psit = Enclosure.from_libm(
+                math.pow(self.eng.schedule.psi(float(j)), consts.t), ulps=8)
+            sig = self.g(float(j)) / (psit * consts.M)
+            self.sigma.append(sig)
+            self.prefix.append(self.prefix[-1] + sig)
+
+    def tail(self, m):
+        self.ensure_sigma(m + 1)
+        integral = self.g(float(m + 1)) / self.eng.consts.mk
+        upper = self.sigma[m] + integral
+        return ZERO + Enclosure(integral.lo, upper.hi)
+
+
+def _assert_same_chain(consts, n):
+    eng = WeightEngine(consts)
+    ref = PerIndexChain(eng)
+    ref.ensure_sigma(n + 1)
+    eng.reserve(n + 1)
+    for j in range(1, n + 2):
+        assert eng.integral_I(float(j)) == ref.integral_I(float(j)), j
+        assert eng.g(float(j)) == ref.g(float(j)), j
+        assert eng.sigma(j) == ref.sigma[j - 1], j
+        assert eng.sigma_prefix(j) == ref.prefix[j], j
+    for m in (0, 1, n // 2, n):
+        assert eng.tail(m) == ref.tail(m), m
+    assert eng.sigma_prefix(n) + eng.tail(n) == ref.prefix[n] + ref.tail(n)
+    # the head as build reads it
+    lo, hi = eng.sigma_bounds(n)
+    assert list(map(Enclosure, lo, hi)) == ref.sigma[:n]
+
+
+# perfbench's certify-cold hypothesis box
+HYPOTHESIS_BOX = {"alpha": (0.3, 0.7), "s": (0.5, 1.0), "t": (0.5, 0.85),
+                  "A": (0.3, 0.7), "C": (1.5, 3.0)}
+
+
+def _box_constants(count):
+    rng = random.Random(15)
+    out = []
+    for _ in range(count):
+        h = {k: rng.uniform(*HYPOTHESIS_BOX[k])
+             for k in sorted(HYPOTHESIS_BOX)}
+        out.append(derive_constants(HypothesisConstants(**h))[0])
+    return out
+
+
+def test_batched_chain_matches_per_index_chain(ref_constants):
+    _assert_same_chain(ref_constants, 1000)
+
+
+@pytest.mark.parametrize("index", range(16))
+def test_batched_chain_matches_on_box_hypotheses(index):
+    _assert_same_chain(_box_constants(16)[index], 1000)
+
+
+def test_batched_chain_matches_past_the_unit_cache(ref_constants, monkeypatch):
+    # past the cap, I(j) is I(cap) plus one long panel [cap, j]
+    monkeypatch.setattr(weights, "UNIT_CACHE_CAP", 64)
+    _assert_same_chain(ref_constants, 150)
+    eng = WeightEngine(ref_constants)
+    ref = PerIndexChain(eng)
+    for x in (63.5, 64.0, 64.25, 100.0, 151.0, 200.5):
+        assert eng.integral_I(x) == ref.integral_I(x), x
+        assert eng.g(x) == ref.g(x), x
+
+
+def test_batches_give_the_same_floats(ref_constants):
+    # the cache grown in pieces equals the cache grown at once
+    whole = WeightEngine(ref_constants)
+    whole.reserve(300)
+    pieces = WeightEngine(ref_constants)
+    for n in (1, 2, 3, 17, 121, 122, 300):
+        pieces.reserve(n)
+    for name in ("_i_lo", "_i_hi", "_g_lo", "_g_hi", "_sig_lo", "_sig_hi",
+                 "_pre_lo", "_pre_hi"):
+        assert getattr(pieces, name) == getattr(whole, name), name
+
+
+@pytest.mark.parametrize("index", range(-1, 4))
+def test_unit_panel_kernel_matches_quad_psi_negt(ref_constants, index,
+                                                 monkeypatch):
+    consts = ref_constants if index < 0 else _box_constants(4)[index]
+    eng = WeightEngine(consts)
+    args = (consts.log_inv_D, eng.schedule.psi_power_coefficient, consts.p,
+            consts.t)
+    bisected = []
+    quad = _kernels.quad_psi_negt
+
+    def recording(a, b, *rest):
+        bisected.append(b)
+        return quad(a, b, *rest)
+
+    monkeypatch.setattr(_kernels, "quad_psi_negt", recording)
+    lo, hi = _kernels.quad_unit_panels(2, 1000, *args)
+    monkeypatch.undo()
+    if index < 0:
+        # the panels near j = 2 are too wide at depth 0 and are bisected
+        assert bisected == [2.0, 3.0, 4.0, 5.0]
+    for j in range(2, 1002):
+        assert (lo[j - 2], hi[j - 2]) == _kernels.quad_psi_negt(
+            j - 1.0, float(j), *args), j
+    # a batch that starts mid-way gives the same pairs
+    lo5, hi5 = _kernels.quad_unit_panels(7, 20, *args)
+    assert lo5.tolist() == lo[5:25].tolist()
+    assert hi5.tolist() == hi[5:25].tolist()
