@@ -179,8 +179,7 @@ def _fmt_point(z: complex) -> str:
 def cmd_eval(cfg: Config, series_path, grid_arg, out_path) -> int:
     ser, points = _load_for_grid(cfg, series_path, grid_arg)
     lines = ["y,F_re_lo,F_re_hi,F_im_lo,F_im_hi,absF_hi,case,m_of_y"]
-    for y in points:
-        res = ser.evaluate(y)
+    for res in ser.evaluate_many(points):
         lines.append(",".join([
             _fmt_point(res.point),
             _fmt(res.F.re.lo), _fmt(res.F.re.hi),

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _INF = math.inf
 
 # every operation pads each endpoint outward by 2 ulps, which covers the
@@ -197,3 +199,38 @@ class ComplexEnclosure:
         lo = math.hypot(self.re.abs_lo, self.im.abs_lo)
         hi = math.hypot(self.re.abs_hi, self.im.abs_hi)
         return Enclosure(_down(max(0.0, lo)), _up(hi))
+
+
+# -- the same operations over arrays of ends ---------------------------------
+# Each gives, element by element, the floats of the Enclosure operation it
+# names: the arithmetic is numpy's correctly rounded + - * /, and the
+# outward steps are np.nextafter.
+
+
+def down(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, -_INF), -_INF)
+
+
+def up(x: np.ndarray) -> np.ndarray:
+    return np.nextafter(np.nextafter(x, _INF), _INF)
+
+
+def widen_ends(lo: np.ndarray, hi: np.ndarray, delta) -> tuple:
+    """Enclosure.widen."""
+    return down(lo - delta), up(hi + delta)
+
+
+def div_ends(lo: np.ndarray, hi: np.ndarray, den: Enclosure) -> tuple:
+    """Enclosure / Enclosure, by the same enclosure den."""
+    if den.lo <= 0.0 <= den.hi:
+        raise ZeroDivisionError("division by enclosure containing zero")
+    cands = (lo / den.lo, lo / den.hi, hi / den.lo, hi / den.hi)
+    return down(np.minimum.reduce(cands)), up(np.maximum.reduce(cands))
+
+
+def abs_ends(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Enclosure.abs_lo and Enclosure.abs_hi."""
+    mag_lo, mag_hi = np.abs(lo), np.abs(hi)
+    return (np.where((lo <= 0.0) & (0.0 <= hi), 0.0,
+                     np.minimum(mag_lo, mag_hi)),
+            np.maximum(mag_lo, mag_hi))

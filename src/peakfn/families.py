@@ -9,6 +9,10 @@ four barrier conditions for the constants it was made from:
   (3) |f_r| <= C * log^t(1/r) inside the ball;
   (4) |f_r| < 1 + eps^s on the ball of radius A*r*eps, for every eps in (0,1).
 
+A family evaluates f_r at many (point, radius) pairs in one call of its
+array hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one
+radius and one point at a time.
+
 Two instances ship: a continuous piecewise family on [0,1] whose sup-norms
 genuinely grow like log^t(1/r), and a bounded holomorphic exponential
 family on the closed unit disk (the classical regime, for regression).
@@ -90,6 +94,7 @@ class BarrierFamily:
     cap_floor: float  # condition (3) holds at r iff C log^t(1/r) >= cap_floor
     _make: Callable[[float], Barrier]
     _off_bound: Callable[[complex, float], float]
+    _values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
     def _in_range(self, log_inv_r: float) -> bool:
         return log_inv_r >= self.min_log_inv_r - 1e-12
@@ -101,6 +106,22 @@ class BarrierFamily:
                 f"family {self.name!r} is defined for r <= {r_max:.6g}; "
                 f"got log(1/r) = {log_inv_r!r}")
         return self._make(float(log_inv_r))
+
+    def values(self, points: np.ndarray, which: np.ndarray,
+               log_inv_r: np.ndarray) -> np.ndarray:
+        """f_r(y) for many (point, radius) pairs: entry i of the complex
+        result is the barrier at log(1/r) = log_inv_r[i] evaluated at
+        points[which[i]].
+
+        Logarithms of a point's coordinates are taken once per point.
+        Every exp, log, pow and cmath.exp is a libm call per element, and
+        numpy does only correctly rounded arithmetic and exact operations,
+        so each entry does not depend on the other pairs of the call:
+        barrier(log_inv_r[i]) calls this hook with that one pair.  The radii must lie in the family's range, as
+        the schedule radii of a certified series do; barrier checks that
+        for a single radius.
+        """
+        return self._values(points, which, log_inv_r)
 
     def off_ball_bound(self, y: complex, log_inv_r: float) -> float:
         """Upper bound on |f_r(y)|, rounded up, for every radius
@@ -139,6 +160,23 @@ class BarrierFamily:
 # -- continuous piecewise family on [0, 1] ---------------------------------
 
 
+def _libm(fn, args: np.ndarray) -> np.ndarray:
+    """fn of each element, one libm call each: numpy's own exp and power
+    can differ from libm in the last bit."""
+    return np.fromiter(map(fn, args.tolist()), dtype=float, count=len(args))
+
+
+def _one_point(values, lir: float) -> Barrier:
+    """The barrier at one radius, as the family's array hook computes it."""
+    lirs = np.array([lir])
+    first = np.zeros(1, dtype=np.intp)
+
+    def f(z: complex) -> complex:
+        return complex(values(np.array([z], dtype=complex), first, lirs)[0])
+
+    return Barrier(log_inv_r=lir, func=f)
+
+
 def synthetic_family(consts: Constants) -> BarrierFamily:
     """Piecewise-linear-plus-power family on [0,1] peaking at 0.
 
@@ -165,32 +203,38 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
     w_mid = math.log((1.0 + big_a) / 2.0)
     two_over_gap = 2.0 / (1.0 - big_a)
 
+    def values(points, which, lir):
+        y = points.real
+        above = y > 0.0
+        log_y = np.zeros(len(y))
+        log_y[above] = _libm(math.log, y[above])
+        # w = log(y/r); segment tests stay in log space so underflowed
+        # radii still evaluate correctly
+        w = log_y[which] + lir
+        out = np.full(len(w), alpha)
+        peak = ~above[which]
+        out[peak] = 1.0
+        ball = ~peak & (w <= 0.0)
+        ramp = ball & (w <= log_a)
+        out[ramp] = 1.0 + 0.5 * _libm(math.exp, s * (w[ramp] - log_a))
+        tent = ball & ~ramp
+        if tent.any():
+            w_tent = w[tent]
+            ratio = _libm(math.exp, w_tent)  # y/r, in (A, 1]
+            cap = big_c * _libm(lambda v: math.pow(v, t), lir[tent])
+            up = (ratio - big_a) * two_over_gap
+            down = (ratio - (1.0 + big_a) / 2.0) * two_over_gap
+            out[tent] = np.where(w_tent <= w_mid, 1.5 + (cap - 1.5) * up,
+                                 cap + (alpha - cap) * down)
+        return out.astype(complex)
+
     def make(lir: float) -> Barrier:
         cap = big_c * math.pow(lir, t)
         if not (cap >= 1.5):
             raise FamilyAuditError(
                 f"radius too large: C*log^t(1/r) = {cap!r} < 3/2 at "
                 f"log(1/r) = {lir!r}")
-
-        def f(z: complex) -> complex:
-            y = z.real
-            if y <= 0.0:
-                return complex(1.0, 0.0)
-            # w = log(y/r); segment tests stay in log space so underflowed
-            # radii still evaluate correctly
-            w = math.log(y) + lir
-            if w > 0.0:
-                return complex(alpha, 0.0)
-            if w <= log_a:
-                return complex(1.0 + 0.5 * math.exp(s * (w - log_a)), 0.0)
-            ratio = math.exp(w)  # y/r, in (A, 1]
-            if w <= w_mid:
-                frac = (ratio - big_a) * two_over_gap
-                return complex(1.5 + (cap - 1.5) * frac, 0.0)
-            frac = (ratio - (1.0 + big_a) / 2.0) * two_over_gap
-            return complex(cap + (alpha - cap) * frac, 0.0)
-
-        return Barrier(log_inv_r=lir, func=f)
+        return _one_point(values, lir)
 
     return BarrierFamily(
         name="synthetic",
@@ -202,6 +246,7 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
         _make=make,
         # f_r(y) = alpha exactly for y > r
         _off_bound=lambda y, lir: alpha,
+        _values=values,
     )
 
 
@@ -228,35 +273,39 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
         raise InvalidParameterError(f"alpha must be in (0,1), got {alpha!r}")
     log_2_log_inv_alpha = math.log(2.0 * math.log(1.0 / alpha))
 
-    def make(lir: float) -> Barrier:
+    def log_abs(v):
+        out = np.zeros(len(v))
+        nonzero = v != 0.0
+        out[nonzero] = _libm(math.log, np.abs(v[nonzero]))
+        return out
+
+    def values(points, which, lir):
+        dz = points - 1.0
+        # Re(z) <= 1 on the closed disk; clamp tolerance-shell overshoot
+        dx = np.minimum(dz.real, 0.0)
+        dy = dz.imag
+        # exponent lambda*dz computed componentwise in log space;
+        # lambda itself can overflow for schedule radii
         log_lam = log_2_log_inv_alpha + 2.0 * lir
-
-        def f(z: complex) -> complex:
-            dz = z - 1.0
-            if dz == 0.0:
-                return complex(1.0, 0.0)
-            # Re(z) <= 1 on the closed disk; clamp tolerance-shell overshoot
-            dx = min(dz.real, 0.0)
-            dy = dz.imag
-            # exponent lambda*dz computed componentwise in log space;
-            # lambda itself can overflow for schedule radii
-            if dx == 0.0:
-                wre = 0.0
-            else:
-                lw = log_lam + math.log(abs(dx))
-                if lw > 7.0 and dx < 0.0:
-                    return complex(0.0, 0.0)
-                wre = math.copysign(math.exp(min(lw, 709.0)), dx)
-            if dy == 0.0:
-                wim = 0.0
-            else:
-                wim = math.copysign(
-                    math.exp(min(log_lam + math.log(abs(dy)), 709.0)), dy)
-            if wre < -745.0:
-                return complex(0.0, 0.0)
-            return cmath.exp(complex(wre, wim))
-
-        return Barrier(log_inv_r=lir, func=f)
+        lw = log_lam + log_abs(dx)[which]
+        real = dx[which] != 0.0
+        # past lw = 7 the modulus exp(-e^lw) underflows: f is 0
+        under = real & (lw > 7.0)
+        real &= ~under
+        wre = np.zeros(len(which))
+        wre[real] = -_libm(math.exp, lw[real])
+        y_im = dy[which]
+        imag = y_im != 0.0
+        wim = np.zeros(len(which))
+        wim[imag] = np.copysign(_libm(math.exp, np.minimum(
+            log_lam[imag] + log_abs(dy)[which][imag], 709.0)), y_im[imag])
+        out = np.zeros(len(which), dtype=complex)
+        live = ~under & (wre >= -745.0)
+        out[live] = np.fromiter(
+            map(cmath.exp, map(complex, wre[live].tolist(),
+                               wim[live].tolist())),
+            dtype=complex, count=np.count_nonzero(live))
+        return out
 
     def off_bound(z: complex, lir: float) -> float:
         # the modulus exp(lambda_r Re(z-1)) as f computes it, which is 1
@@ -277,8 +326,9 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
         exact_off_value=None,
         min_log_inv_r=math.log(1.0 / 0.2),
         cap_floor=1.0,
-        _make=make,
+        _make=lambda lir: _one_point(values, lir),
         _off_bound=off_bound,
+        _values=values,
     )
 
 
@@ -394,6 +444,12 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
             "margin": margin,
         })
 
+    def moduli(points, lir):
+        # |f_r| at each point, from one call of the array hook
+        vals = fam.values(np.array(points, dtype=complex),
+                          np.arange(len(points)), np.full(len(points), lir))
+        return list(map(abs, vals.tolist()))
+
     for r in radii:
         r = float(r)
         if not (0.0 < r < 1.0):
@@ -412,9 +468,8 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
         cap = consts.C * math.pow(lir, consts.t)
         tol2 = GUARD * max(1.0, consts.alpha)
         tol3 = GUARD * max(1.0, cap)
-        for z in grid:
+        for z, mod in zip(grid, moduli(grid, lir)):
             d = fam.domain.distance_to_peak(z)
-            mod = abs(bar(z))
             if d >= r:
                 margin = consts.alpha - mod
                 worst["condition_2"] = min(worst["condition_2"], margin)
@@ -425,15 +480,15 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
                 worst["condition_3"] = min(worst["condition_3"], margin)
                 if margin < -tol3:
                     fail("condition_3", r, z, margin)
-        for eps in eps_grid:
-            ball = consts.A * r * eps
+        probes = [(eps, z) for eps in eps_grid
+                  for z in _ball_probe_points(fam.domain, consts.A * r * eps)]
+        for (eps, z), mod in zip(probes,
+                                 moduli([z for _, z in probes], lir)):
             threshold = 1.0 + math.pow(eps, consts.s)
-            for z in _ball_probe_points(fam.domain, ball):
-                mod = abs(bar(z))
-                margin = threshold - mod
-                worst["condition_4"] = min(worst["condition_4"], margin)
-                if not margin > GUARD * threshold:
-                    fail("condition_4", r, z, margin)
+            margin = threshold - mod
+            worst["condition_4"] = min(worst["condition_4"], margin)
+            if not margin > GUARD * threshold:
+                fail("condition_4", r, z, margin)
     report = AuditReport(
         family=fam.name,
         radii=[float(r) for r in radii],

@@ -8,6 +8,7 @@ sums S_k = sum_{j<=k} j^(p-1); the closed form also caches T_k = sum j^p.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from . import _kernels
@@ -122,16 +123,28 @@ class Schedule:
 
         Conservative: near-ties are pushed to the next index, which only
         moves a term from the tail bound into the exactly-evaluated head.
+
+        A binary search over the cached log-radii, grown by doubling up to
+        cap.  The test is monotone in m: log(1/r_m) grows with m by
+        log(1/A) + log(1/eps_m) > 0 per step, while the right side, the
+        rounded sum log(1/dist) + GUARD*max(1, |log(1/r_m)|), grows by at
+        most GUARD times that step plus two roundings, far less than the
+        step.  So once the test holds at some m it holds at every later m.
         """
-        m = 1
-        while True:
-            lir = self.log_inv_radius(m)
-            if lir >= log_inv_dist + GUARD * max(1.0, abs(lir)):
-                return m
-            m += 1
-            if m > cap:
+        lir = self._lir
+
+        def inward(v: float) -> bool:
+            return v >= log_inv_dist + GUARD * max(1.0, abs(v))
+
+        n = max(1, min(len(lir), cap))
+        while not inward(lir[n - 1]):
+            if n >= cap:
                 raise InvalidParameterError(
-                    f"split index exceeded cap {cap} (point too close to peak)")
+                    f"split index exceeded cap {cap} (point too close to "
+                    "peak)")
+            n = min(2 * n, cap)
+            self._ensure_radii(n)
+        return bisect.bisect_left(lir, True, 0, n, key=inward) + 1
 
     # -- bracket sweep ----------------------------------------------------
 

@@ -9,16 +9,16 @@ eps_m^s}.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-import operator
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from . import certificates, families
-from .enclosure import ComplexEnclosure, Enclosure
+from .enclosure import (ComplexEnclosure, Enclosure, abs_ends, div_ends,
+                        down, up, widen_ends)
 from .errors import (BuildRefusedError, ConfigError, DomainError,
                      FamilyAuditError)
 from .hypothesis import (GUARD, Constants, HypothesisConstants, derive_k,
@@ -34,6 +34,10 @@ BARRIER_EVAL_REL = 1e-12
 # unit roundoff of binary64, and the spacing of its subnormals
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1074
+
+# (point, j) pairs evaluated in one array pass of evaluate_many: bounds the
+# memory a batch holds, whatever the size of the grid
+BATCH_PAIRS = 2048
 
 
 @dataclass
@@ -68,12 +72,12 @@ class PeakSeries:
     log_inv_r: list             # float, j = 1..N
     log_inv_eps: list           # float, j = 1..N
     engine: WeightEngine = field(repr=False)
-    barriers: list = field(repr=False)     # Barrier, j = 1..N
     # derived from the fields above, so dataclasses.replace recomputes them
     sigma_lo: np.ndarray = field(init=False, repr=False, compare=False)
     sigma_hi: np.ndarray = field(init=False, repr=False, compare=False)
     thresholds: np.ndarray = field(          # 1 + eps_j^s, j = 1..N
         init=False, repr=False, compare=False)
+    _lirs: np.ndarray = field(init=False, repr=False, compare=False)
     # _mass_after(k) by k, filled on first use
     _masses: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -83,6 +87,7 @@ class PeakSeries:
         self.sigma_hi = np.array([e.hi for e in self.sigma_head])
         self.thresholds = np.array([1.0 + math.exp(-self.consts.s * lie)
                                     for lie in self.log_inv_eps])
+        self._lirs = np.array(self.log_inv_r, dtype=float)
 
     @property
     def peak(self) -> complex:
@@ -97,8 +102,13 @@ class PeakSeries:
         return self.engine.schedule.split_index(-math.log(d))
 
     def evaluate(self, y: complex) -> EvalResult:
-        """Enclosure of F(y) and the case label of y, from one evaluation
-        of each head barrier up to the split index m = m(y).
+        """Enclosure of F(y) and the case label of y: a batch of one point
+        of evaluate_many."""
+        return next(self.evaluate_many([y]))
+
+    def evaluate_many(self, points) -> Iterator[EvalResult]:
+        """Enclosure of F(y) and the case label of y at each point, from
+        one evaluation of each head barrier up to the split index m = m(y).
 
         Past m every barrier lies off its ball.  So when m < N and the
         family's off_ball_bound phi at r_{m+1} is at most alpha, only
@@ -108,81 +118,142 @@ class PeakSeries:
         m >= N, and where phi > alpha, all N head barriers are called.
 
         The head sum sum_j [sigma_j] f_j(y) is two interval dot products
-        (real and imaginary parts; see _dot) widened by the barrier pad
+        (real and imaginary parts; see _dots) widened by the barrier pad
         BARRIER_EVAL_REL * sum_j sigma_j.hi |f_j(y)|; the pad, like the
         ceiling of the indices between the head and the split, is an fsum
         rounded up, so it bounds the exact sum of its float terms.
+
+        The points go in batches of at most BATCH_PAIRS (point, j) pairs
+        (a point that needs more is a batch of its own).  A batch takes
+        every f_j(y) from one call of the family's array hook and does the
+        rest over flat float arrays, with fsum per point; the floats are
+        those of one point evaluated at a time with Enclosure arithmetic.
         """
-        y = self.family.domain.require(y)
-        m = self.split_index(y)
+        return self._evaluate_admitted(
+            [self.family.domain.require(y) for y in points])
+
+    def _evaluate_admitted(self, points: list) -> Iterator[EvalResult]:
+        """evaluate_many at points the domain has admitted."""
         n = self.n_terms
-        # the barriers called: f_1..f_k
-        k = n
-        if 0 < m < n:
-            phi = self.family.off_ball_bound(y, self.log_inv_r[m])
-            if phi <= self.consts.alpha:
-                k = m
-        vals = np.array([bar.func(y) for bar in self.barriers[:k]],
-                        dtype=complex)
-        sig_lo, sig_hi = self.sigma_lo[:k], self.sigma_hi[:k]
+        batch: list[tuple] = []
+        pairs = 0
+        for y in points:
+            m = self.split_index(y)
+            # the barriers called: f_1..f_k
+            k, phi = n, None
+            if 0 < m < n:
+                phi = self.family.off_ball_bound(y, self.log_inv_r[m])
+                if phi <= self.consts.alpha:
+                    k = m
+            if batch and pairs + k > BATCH_PAIRS:
+                yield from self._evaluate_batch(batch)
+                batch, pairs = [], 0
+            batch.append((y, m, k, phi))
+            pairs += k
+        if batch:
+            yield from self._evaluate_batch(batch)
+
+    def _evaluate_batch(self, batch: list) -> list[EvalResult]:
+        """evaluate_many over (y, m(y), k(y), phi) tuples.  Pair i of the
+        flat arrays is f_{j_i + 1} at point which_i; the box around the
+        numerator is the arrays lo and hi, real parts in row 0 and
+        imaginary parts in row 1."""
+        n, consts = self.n_terms, self.consts
+        counts = np.array([k for _, _, k, _ in batch])
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        which = np.repeat(np.arange(len(batch)), counts)
+        j = np.arange(ends[-1]) - starts[which]
+        vals = self.family.values(
+            np.array([y for y, _, _, _ in batch], dtype=complex), which,
+            self._lirs[j])
+        sig_lo, sig_hi = self.sigma_lo[j], self.sigma_hi[j]
         # hypot of the parts is what abs() of a Python complex computes;
         # np.abs of a complex array can differ from it in the last bit
         mods = np.hypot(vals.real, vals.imag)
-        num = ComplexEnclosure(_dot(sig_lo, sig_hi, vals.real),
-                               _dot(sig_lo, sig_hi, vals.imag))
-        num = num.widen(_sum_up((sig_hi * mods * BARRIER_EVAL_REL).tolist()))
-        # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s
-        running = np.maximum.accumulate(mods)
-        hits = np.flatnonzero(running >= self.thresholds[:k])
-        if hits.size:
-            member_m = int(hits[0]) + 1
-        elif k < n:
-            # past k every |f_j| <= phi <= alpha < 1 + eps_j^s, so the
-            # running maximum stays that of f_1..f_k: the first hit is the
-            # first of the non-increasing thresholds at or below it, and
-            # without one y lies outside every W_j
-            member_m = 1 + bisect.bisect_left(
-                self.thresholds, -running[-1], lo=k, key=operator.neg)
-        else:
-            member_m = n + 1
-        alpha_tol = self.consts.alpha + GUARD * max(1.0, self.consts.alpha)
-        if m == 0:
-            case = None
-        elif member_m <= n:
-            case = CaseLabel(
-                "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
-        elif k < n or mods.min() <= alpha_tol:
-            case = CaseLabel("outside-all-W")
-        else:
-            case = CaseLabel("head-exhausted")
-        start = n + 1
-        if m > start:
-            # indices past the head but before the split: on-ball ceiling
-            # C log^t(1/r_j) <= C psi(j)^t, and sigma_j C psi^t = (C/M) g(j)
-            ratio = self.consts.C / self.consts.M
-            self.engine.reserve(m)
-            num = num.widen(_sum_up(
-                [ratio * self.engine.g(j).hi for j in range(start, m)]))
-        if k < n:
-            far_tail = self._mass_after(k)
-        elif m <= start:
-            far_tail = self.tail_after_head
-        else:
-            far_tail = self.engine.tail(m - 1)
+        segments = list(zip(starts.tolist(), ends.tolist()))
+        re = _dots(sig_lo, sig_hi, vals.real, segments)
+        im = _dots(sig_lo, sig_hi, vals.imag, segments)
+        pad_terms = sig_hi * mods * BARRIER_EVAL_REL
+        pad = np.array([_sum_up(pad_terms[a:b].tolist())
+                        for a, b in segments])
+        lo, hi = widen_ends(np.array([re[0], im[0]]),
+                            np.array([re[1], im[1]]), pad)
+        # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s.  The
+        # thresholds do not increase, so |f_i| first lifts the running
+        # maximum past a threshold at the first j >= i whose threshold it
+        # clears.  Past k every |f_j| <= phi <= alpha < 1 + eps_j^s, so the
+        # earliest such j over f_1..f_k is the first W_j holding y; N + 1
+        # stands for none
+        clears = np.searchsorted(-self.thresholds, -mods)
+        member = np.minimum.reduceat(np.maximum(clears, j), starts) + 1
+        lowest = np.minimum.reduceat(mods, starts)
+        alpha_tol = consts.alpha + GUARD * max(1.0, consts.alpha)
         off = self.family.exact_off_value
-        if m == 0:
-            # every f_j is 1 at the peak by condition (1)
-            num = num + ComplexEnclosure.from_real(far_tail)
-        elif off is not None:
-            num = num + ComplexEnclosure.from_real(far_tail * off)
-        elif k < n:
-            bound = phi * far_tail.hi
-            num = num.widen(_sum_up([bound, bound * BARRIER_EVAL_REL]))
-        else:
-            num = num.widen(self.consts.alpha * far_tail.hi)
-        f_enc = num.div_real(self.normalizer)
-        return EvalResult(point=y, m_of_y=m, F=f_enc,
-                          abs_F=f_enc.abs_bounds(), case=case)
+        ratio = consts.C / consts.M
+        cases = []
+        # per point: the ceiling past the head (0 where m <= N + 1); the
+        # far tail, added as (tail, 0) at the peak and where the family
+        # has an exact off value; else the charge that widens the box
+        ceiling = np.zeros(len(batch))
+        add_lo, add_hi = np.zeros((2, len(batch))), np.zeros((2, len(batch)))
+        charge = np.zeros(len(batch))
+        for i, (y, m, k, phi) in enumerate(batch):
+            member_m = int(member[i])
+            if m == 0:
+                cases.append(None)
+            elif member_m <= n:
+                cases.append(CaseLabel(
+                    "in-W1" if member_m == 1 else "in-Wm-not-before",
+                    member_m))
+            elif k < n or lowest[i] <= alpha_tol:
+                cases.append(CaseLabel("outside-all-W"))
+            else:
+                cases.append(CaseLabel("head-exhausted"))
+            if m > n + 1:
+                # indices past the head but before the split: on-ball
+                # ceiling C log^t(1/r_j) <= C psi(j)^t, and
+                # sigma_j C psi^t = (C/M) g(j)
+                self.engine.reserve(m)
+                ceiling[i] = _sum_up([ratio * self.engine.g(jj).hi
+                                      for jj in range(n + 1, m)])
+            if k < n:
+                far_tail = self._mass_after(k)
+            elif m <= n + 1:
+                far_tail = self.tail_after_head
+            else:
+                far_tail = self.engine.tail(m - 1)
+            if m == 0:
+                # every f_j is 1 at the peak by condition (1)
+                add_lo[0, i], add_hi[0, i] = far_tail.lo, far_tail.hi
+            elif off is not None:
+                far_tail = far_tail * off
+                add_lo[0, i], add_hi[0, i] = far_tail.lo, far_tail.hi
+            elif k < n:
+                bound = phi * far_tail.hi
+                charge[i] = _sum_up([bound, bound * BARRIER_EVAL_REL])
+            else:
+                charge[i] = consts.alpha * far_tail.hi
+        beyond = np.array([m > n + 1 for _, m, _, _ in batch])
+        widened = widen_ends(lo, hi, ceiling)
+        lo = np.where(beyond, widened[0], lo)
+        hi = np.where(beyond, widened[1], hi)
+        added = np.array([m == 0 or off is not None for _, m, _, _ in batch])
+        widened = widen_ends(lo, hi, charge)
+        lo = np.where(added, down(lo + add_lo), widened[0])
+        hi = np.where(added, up(hi + add_hi), widened[1])
+        lo, hi = div_ends(lo, hi, self.normalizer)
+        mag_lo, mag_hi = abs_ends(lo, hi)
+        abs_lo = down(np.maximum(0.0, list(map(math.hypot,
+                                               *mag_lo.tolist()))))
+        abs_hi = up(np.array(list(map(math.hypot, *mag_hi.tolist()))))
+        return [EvalResult(point=y, m_of_y=m,
+                           F=ComplexEnclosure(Enclosure(rl, rh),
+                                              Enclosure(il, ih)),
+                           abs_F=Enclosure(al, ah), case=case)
+                for (y, m, _, _), rl, il, rh, ih, al, ah, case in zip(
+                    batch, *lo.tolist(), *hi.tolist(), abs_lo.tolist(),
+                    abs_hi.tolist(), cases)]
 
     def _mass_after(self, k: int) -> Enclosure:
         """Enclosure of sum_{j>k} sigma_j over the head and its tail, each
@@ -215,15 +286,17 @@ class PeakSeries:
         if not points:
             raise DomainError("verification grid is empty")
         peak = complex(self.peak)
+        admitted = []
+        for y in points:
+            if complex(y) == peak:
+                raise DomainError("verification grid must exclude the peak")
+            admitted.append(self.family.domain.require(y))
         per_point = []
         failures = []
         min_margin = math.inf
         argmin = None
         max_abs_hi = 0.0
-        for y in points:
-            if complex(y) == peak:
-                raise DomainError("verification grid must exclude the peak")
-            res = self.evaluate(y)
+        for res in self._evaluate_admitted(admitted):
             margin = 1.0 - res.abs_F.hi
             per_point.append({
                 "y": _point_repr(res.point),
@@ -292,7 +365,7 @@ def build(fam: BarrierFamily, n_terms: int = 100,
         family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
         sigma_prefix_head=prefix, tail_after_head=tail,
         normalizer=prefix + tail, log_inv_r=lirs, log_inv_eps=lies,
-        engine=engine, barriers=[fam.barrier(lir) for lir in lirs])
+        engine=engine)
 
 
 def _sum_up(terms) -> float:
@@ -301,8 +374,10 @@ def _sum_up(terms) -> float:
     return math.nextafter(math.fsum(terms), math.inf)
 
 
-def _dot(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> Enclosure:
-    """Enclosure of sum_j [lo_j, hi_j] * vals_j for float arrays.
+def _dots(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray,
+          segments: list) -> tuple:
+    """Ends of the enclosures of sum_j [lo_j, hi_j] * vals_j, j in [a, b),
+    for each segment (a, b) of the float arrays.
 
     Each product takes the endpoint that makes it smallest (for the lower
     sum) or largest (for the upper) at the sign of vals_j.  A product
@@ -317,10 +392,14 @@ def _dot(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray) -> Enclosure:
     pos = vals >= 0.0
     p_lo = np.where(pos, lo, hi) * vals
     p_hi = np.where(pos, hi, lo) * vals
-    mag = _sum_up(np.maximum(np.abs(p_lo), np.abs(p_hi)).tolist())
-    rad = 3.0 * _U * mag + _TINY * np.count_nonzero(vals)
-    return Enclosure(math.fsum(p_lo.tolist()), math.fsum(p_hi.tolist())
-                     ).widen(math.nextafter(rad, math.inf))
+    mags = np.maximum(np.abs(p_lo), np.abs(p_hi))
+    mag = np.array([_sum_up(mags[a:b].tolist()) for a, b in segments])
+    nonzero = np.add.reduceat((vals != 0.0).astype(np.intp),
+                              [a for a, _ in segments])
+    rad = np.nextafter(3.0 * _U * mag + _TINY * nonzero, math.inf)
+    return widen_ends(
+        np.array([math.fsum(p_lo[a:b].tolist()) for a, b in segments]),
+        np.array([math.fsum(p_hi[a:b].tolist()) for a, b in segments]), rad)
 
 
 def _point_repr(z: complex):

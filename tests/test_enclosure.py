@@ -3,11 +3,13 @@ whatever the reals do, the intervals must cover it."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakfn.enclosure import ComplexEnclosure, Enclosure
+from peakfn.enclosure import (ComplexEnclosure, Enclosure, abs_ends,
+                              div_ends, down, up, widen_ends)
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -138,3 +140,34 @@ def test_complex_div_real():
     q = z.div_real(Enclosure(2.0, 2.0))
     assert q.re.contains(0.5)
     assert q.im.contains(1.0)
+
+
+def test_array_ends_equal_the_enclosure_operations():
+    # the array forms give, element by element, the floats of the
+    # Enclosure operations they name, zeros, subnormals and signs included
+    rng = np.random.default_rng(3)
+    n = 4000
+    mags = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 60, n))
+    a = mags * rng.choice([-1.0, 1.0], n)
+    b = a + np.abs(a) * rng.choice([0.0, 1e-16, 0.5, 3.0], n)
+    a[:8] = [0.0, -0.0, 0.0, -5e-324, 5e-324, -1.0, 0.0, -2.0]
+    b[:8] = [0.0, 0.0, 5e-324, 0.0, 1.0, -1.0, 2.0, -0.0]
+    delta = np.abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-300, 1.0], n)
+    den = Enclosure(0.75, math.nextafter(0.75, 2.0))
+    encs = [Enclosure(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
+
+    def ends(pairs):
+        return [list(map(float, e)) for e in pairs]
+
+    lo, hi = widen_ends(a, b, delta)
+    assert ends(zip(lo, hi)) == [[e.lo, e.hi] for e in (
+        enc.widen(d) for enc, d in zip(encs, delta.tolist()))]
+    lo, hi = div_ends(a, b, den)
+    assert ends(zip(lo, hi)) == [[e.lo, e.hi] for e in
+                                 (enc / den for enc in encs)]
+    mag_lo, mag_hi = abs_ends(a, b)
+    assert ends(zip(mag_lo, mag_hi)) == [[e.abs_lo, e.abs_hi] for e in encs]
+    points = [Enclosure.exact(v).widen(0.0) for v in a.tolist()]
+    assert ends(zip(down(a), up(a))) == [[e.lo, e.hi] for e in points]
+    with pytest.raises(ZeroDivisionError):
+        div_ends(a, b, Enclosure(-1.0, 1.0))

@@ -6,7 +6,9 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
+from scalar_barriers import scalar_barrier
 
 from peakfn import (HypothesisConstants, Schedule, audit_family,
                     derive_constants, disk_exponential_family, family_by_name,
@@ -108,6 +110,77 @@ def test_disk_barrier_tolerance_shell_is_safe(disk):
     assert abs(bar(z)) <= 1.0 + 1e-12
     deep = disk.barrier(150.0)  # r = e^-150, schedule scale
     assert abs(deep(z)) <= 1.0 + 1e-12
+
+
+# -- the array hook against the scalar closures ------------------------------
+
+
+def _bits(values) -> list:
+    """The two float64 words of each complex value."""
+    return np.asarray(values, dtype=complex).view(np.int64).tolist()
+
+
+def _assert_hook_is_scalar(fam, points, lirs):
+    """values over every (point, radius) pair, in a shuffled order, equals
+    the scalar closure at that radius bit for bit, and so does barrier."""
+    pts = np.array(points, dtype=complex)
+    which, radii = np.meshgrid(np.arange(len(pts)), np.asarray(lirs),
+                               indexing="ij")
+    order = np.random.default_rng(5).permutation(which.size)
+    which, radii = which.ravel()[order], radii.ravel()[order]
+    got = fam.values(pts, which, radii)
+    refs = {lir: scalar_barrier(fam, lir) for lir in lirs}
+    want = [refs[lir](complex(pts[i]))
+            for i, lir in zip(which.tolist(), radii.tolist())]
+    assert _bits(got) == _bits(want)
+    for lir in lirs[::17]:
+        bar = fam.barrier(lir)
+        assert _bits([bar(z) for z in points]) == \
+            _bits([refs[lir](complex(z)) for z in points])
+
+
+@pytest.fixture(scope="module")
+def head_radii(ref_constants):
+    """log(1/r_j) for the N = 100 schedule radii."""
+    return Schedule(ref_constants).log_inv_radii(100)
+
+
+def test_synthetic_hook_at_every_radius_and_seam(syn, head_radii):
+    a = syn.consts.A
+    points = [0.0, -0.0, -1e-300, -0.5, 5e-324, 1e-30, 0.3, 1.0,
+              1.0 + 1e-13]
+    for lir in head_radii:
+        for seam in (a, (1.0 + a) / 2.0, 1.0):
+            # y/r at the seam, from log space: r_j underflows past j ~ 85
+            y = math.exp(math.log(seam) - lir)
+            if y > 0.0:
+                points += [math.nextafter(y, 0.0), y,
+                           math.nextafter(y, 1.0)]
+    _assert_hook_is_scalar(syn, points, head_radii)
+
+
+def test_disk_hook_at_every_radius_and_branch(disk, head_radii):
+    points = make_grid(disk, "log", 1e-30, 1.0, 500)
+    # Re z = 1 off the peak, dz = 0, and the tolerance shell past Re z = 1
+    points += [1.0 + 1e-20j, 1.0 - 3e-5j, 1.0 + 0.5j, 1.0 + 0.0j,
+               complex(1.0, -0.0), complex(1.0 + 1e-15, 0.0),
+               complex(1.0 + 1e-15, 1e-9), 0.0j, -1.0 + 0.0j]
+    log_2_log_inv_alpha = math.log(2.0 * math.log(1.0 / disk.consts.alpha))
+    branches = set()
+    for lir in head_radii[::7]:
+        log_lam = log_2_log_inv_alpha + 2.0 * lir
+        # lw = log(lambda |Re(z - 1)|) past 7, where f underflows, and
+        # between log(745) and 7, where wre < -745 does
+        for target in (7.5, 6.8, 6.6):
+            z = complex(1.0 - math.exp(target - log_lam), 0.0)
+            if z.real == 1.0:
+                continue
+            points += [z, z + 1e-3j, complex(z.real, z.real - 1.0)]
+            lw = log_lam + math.log(1.0 - z.real)
+            branches.add("lw > 7" if lw > 7.0 else
+                         "wre < -745" if math.exp(lw) > 745.0 else "")
+    assert {"lw > 7", "wre < -745"} <= branches
+    _assert_hook_is_scalar(disk, points, head_radii)
 
 
 @pytest.mark.parametrize("name", ["synthetic", "disk-exp"])

@@ -2,6 +2,8 @@
 partial-sum sandwiches, and the psi majorant."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from peakfn import Schedule
 from peakfn._kernels import radius_bound_sweep
 from peakfn.certificates import check_schedule_identities
 from peakfn.errors import DomainError, InvalidParameterError
-from peakfn.hypothesis import P_GRID, bracket_certificate
+from peakfn.hypothesis import GUARD, P_GRID, bracket_certificate
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,48 @@ def test_split_index_ties_go_inward(sched):
     # exactly at log(1/r_2) the comparison is ambiguous: must resolve to 3
     lir2 = sched.log_inv_radius(2)
     assert sched.split_index(lir2) == 3
+
+
+def _linear_split_index(sched, log_inv_dist, cap=200_000):
+    """Schedule.split_index as a scan from m = 1, the reference for its
+    binary search."""
+    m = 1
+    while True:
+        lir = sched.log_inv_radius(m)
+        if lir >= log_inv_dist + GUARD * max(1.0, abs(lir)):
+            return m
+        m += 1
+        if m > cap:
+            raise InvalidParameterError(
+                f"split index exceeded cap {cap} (point too close to peak)")
+
+
+def test_split_index_equals_the_linear_scan(ref_constants):
+    ref = Schedule(ref_constants)
+    lirs = ref.log_inv_radii(400)
+    rng = random.Random(11)
+    dists = [rng.uniform(-5.0, lirs[-1] + 10.0) for _ in range(10_000)]
+    dists += [10.0 ** rng.uniform(-3.0, math.log10(lirs[-1]))
+              for _ in range(2_000)]
+    # at each radius and one ulp either side, where the guard decides
+    for lir in lirs[:200]:
+        dists += [math.nextafter(lir, -math.inf), lir,
+                  math.nextafter(lir, math.inf)]
+    # a fresh schedule grows its radii inside the search
+    searched = Schedule(ref_constants)
+    assert [searched.split_index(d) for d in dists] == \
+        [_linear_split_index(ref, d) for d in dists]
+    for cap in (1, 2, 7, 64, 65):
+        for d in (lirs[cap - 2] if cap > 1 else -1.0, lirs[cap - 1],
+                  lirs[cap]):
+            try:
+                want = _linear_split_index(ref, d, cap)
+            except InvalidParameterError as exc:
+                with pytest.raises(InvalidParameterError,
+                                   match=re.escape(str(exc))):
+                    Schedule(ref_constants).split_index(d, cap)
+            else:
+                assert Schedule(ref_constants).split_index(d, cap) == want
 
 
 def test_pow_sum_validation(sched):

@@ -1,24 +1,38 @@
 """Series assembly, certified evaluation, case classification, grid
 verification, and serialization round-trips."""
 
+import bisect
 import dataclasses
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_barriers import scalar_barrier
 
 import peakfn
 from peakfn import Constants, build, load_series, make_grid, save_series, \
     synthetic_family
-from peakfn.enclosure import ComplexEnclosure
+from peakfn.enclosure import ComplexEnclosure, Enclosure
 from peakfn.errors import BuildRefusedError, ConfigError, DomainError
 from peakfn.hypothesis import GUARD
-from peakfn.series import (BARRIER_EVAL_REL, SERIES_FORMAT, CaseLabel,
-                           EvalResult, _dot)
+from peakfn.series import (BARRIER_EVAL_REL, BATCH_PAIRS, SERIES_FORMAT,
+                           CaseLabel, EvalResult, _dots, _sum_up)
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_head(fam, log_inv_r: tuple) -> list:
+    """f_1..f_N of a head as the scalar reference closures."""
+    return [scalar_barrier(fam, lir) for lir in log_inv_r]
+
+
+def head_barriers(ser) -> list:
+    return _scalar_head(ser.family, tuple(ser.log_inv_r))
 
 
 def test_build_shape(ref_series, ref_constants):
@@ -26,7 +40,7 @@ def test_build_shape(ref_series, ref_constants):
     assert ser.n_terms == 100
     assert len(ser.sigma_head) == 100
     assert len(ser.log_inv_r) == 100
-    assert len(ser.barriers) == 100
+    assert len(ser.log_inv_eps) == 100
     assert ser.consts == ref_constants
     # normalizer consistent with prefix + tail at 4-ulp padding
     ideal = ser.sigma_prefix_head + ser.tail_after_head
@@ -60,16 +74,19 @@ def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
     full_off_peak = 0
     for ser in (ref_series, disk_series):
         calls = {}
+        index = {lir: j for j, lir in enumerate(ser.log_inv_r, 1)}
 
-        def counted(j, func):
-            def wrapper(z):
-                calls.setdefault(z, []).append(j)
-                return func(z)
-            return wrapper
+        def counted(values):
+            # one (point, j) pair per entry of the hook's arrays
+            def hook(points, which, lirs):
+                for i, lir in zip(which.tolist(), lirs.tolist()):
+                    calls.setdefault(complex(points[i]), []).append(
+                        index[lir])
+                return values(points, which, lirs)
+            return hook
 
-        counting = dataclasses.replace(ser, barriers=[
-            dataclasses.replace(b, func=counted(j, b.func))
-            for j, b in enumerate(ser.barriers, 1)])
+        counting = dataclasses.replace(ser, family=dataclasses.replace(
+            ser.family, _values=counted(ser.family._values)))
         points = make_grid(ser.family, "log", 1e-20, 1.0, 56)
         rep = counting.verify_peak(points)
         assert rep["passed"]
@@ -145,7 +162,7 @@ def test_classify_monotone_membership(ref_series):
         m = lab.m
         eps_pow = math.exp(
             -ref_series.consts.s * ref_series.log_inv_eps[m - 1])
-        vals = [abs(b.func(2e-4 + 0j)) for b in ref_series.barriers[:m]]
+        vals = [abs(f(2e-4 + 0j)) for f in head_barriers(ref_series)[:m]]
         assert max(vals) >= 1.0 + eps_pow
         prev_pow = math.exp(
             -ref_series.consts.s * ref_series.log_inv_eps[m - 2])
@@ -428,31 +445,35 @@ def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
                                                 n):
     # evaluate widens the head box by the barrier pad and, past the head, by
     # the ceiling sum_{N < j < m} (C/M) g(j).hi; each must be at least the
-    # exact sum of its float terms, which a sum rounded to nearest misses
+    # exact sum of its float terms, which a sum rounded to nearest misses.
+    # Both are _sum_up of exactly those terms (the per-point reference,
+    # which the batch path equals bit for bit, widens by them)
     ser = build(synthetic_family(ref_constants), n_terms=n, m_max=10)
-    deltas = []
-    widen = ComplexEnclosure.widen
+    sums = []
 
-    def recording(self, delta):
-        deltas.append(delta)
-        return widen(self, delta)
+    def recording(terms):
+        terms = list(terms)
+        sums.append((terms, _sum_up(terms)))
+        return sums[-1][1]
 
-    monkeypatch.setattr(ComplexEnclosure, "widen", recording)
+    monkeypatch.setattr(peakfn.series, "_sum_up", recording)
     ratio = ser.consts.C / ser.consts.M
     beyond = 0
     for y in make_grid(ser.family, "log", 1e-30, 1e-3, 200):
-        deltas.clear()
+        sums.clear()
         res = ser.evaluate(y)
-        pad = sum(Fraction(sig.hi * abs(complex(bar.func(y)))
-                           * BARRIER_EVAL_REL)
-                  for sig, bar in zip(ser.sigma_head, ser.barriers))
-        assert Fraction(deltas[0]) >= pad
+        pad_terms = [sig.hi * abs(complex(f(y))) * BARRIER_EVAL_REL
+                     for sig, f in zip(ser.sigma_head, head_barriers(ser))]
+        pads = [out for terms, out in sums if terms == pad_terms]
+        assert len(pads) == 1
+        assert Fraction(pads[0]) >= sum(map(Fraction, pad_terms))
         if res.m_of_y > ser.n_terms + 1:
             beyond += 1
-            ceiling = sum(Fraction(ratio * ser.engine.g(j).hi)
-                          for j in range(ser.n_terms + 1, res.m_of_y))
-            assert len(deltas) == 2
-            assert Fraction(deltas[1]) >= ceiling
+            ceiling_terms = [ratio * ser.engine.g(j).hi
+                             for j in range(ser.n_terms + 1, res.m_of_y)]
+            ceilings = [out for terms, out in sums if terms == ceiling_terms]
+            assert len(ceilings) == 1
+            assert Fraction(ceilings[0]) >= sum(map(Fraction, ceiling_terms))
     assert beyond > 100
 
 
@@ -506,7 +527,8 @@ def test_dot_encloses_exact_interval_dot_product(inputs):
         lo_sum += min(pa, pb)
         hi_sum += max(pa, pb)
         mag += max(abs(pa), abs(pb))
-    enc = _dot(lo, hi, vals)
+    (ends_lo,), (ends_hi,) = _dots(lo, hi, vals, [(0, len(vals))])
+    enc = Enclosure(float(ends_lo), float(ends_hi))
     enc_lo, enc_hi = _units(enc.lo) << 1074, _units(enc.hi) << 1074
     assert enc_lo <= lo_sum and hi_sum <= enc_hi
     # each end lies within the error it covers (2u sum|p| + 2^-1075 per
@@ -531,9 +553,9 @@ def _reference_evaluate(ser, y) -> EvalResult:
     member_m = None
     thresholds = [1.0 + math.exp(-ser.consts.s * lie)
                   for lie in ser.log_inv_eps]
-    for j, (sig, bar, thr) in enumerate(
-            zip(ser.sigma_head, ser.barriers, thresholds), 1):
-        fval = complex(bar.func(y))
+    for j, (sig, f, thr) in enumerate(
+            zip(ser.sigma_head, head_barriers(ser), thresholds), 1):
+        fval = complex(f(y))
         mod = abs(fval)
         num = num.add_scaled(sig, fval)
         eval_pad += sig.hi * mod * BARRIER_EVAL_REL
@@ -620,8 +642,9 @@ def _off_ball_excess(ser, bound, grid):
         if m >= ser.n_terms:
             continue
         phi = bound(y, ser.log_inv_r[m])
+        head = head_barriers(ser)
         excess.extend((y, j) for j in range(m + 1, ser.n_terms + 1)
-                      if abs(ser.barriers[j - 1].func(y)) > phi)
+                      if abs(head[j - 1](y)) > phi)
     return excess
 
 
@@ -675,3 +698,174 @@ def test_off_ball_widening_nests_the_per_term_chain(reference_cases):
         assert new.m_of_y < disk.n_terms
         for a, b in ((new.F.re, ref.F.re), (new.F.im, ref.F.im)):
             assert a.encloses(b)
+
+
+# -- the batch path against one point at a time ------------------------------
+
+
+def _per_point_dot(lo, hi, vals) -> Enclosure:
+    """_dots over one segment, as it was written for one point."""
+    pos = vals >= 0.0
+    p_lo = np.where(pos, lo, hi) * vals
+    p_hi = np.where(pos, hi, lo) * vals
+    mag = _sum_up(np.maximum(np.abs(p_lo), np.abs(p_hi)).tolist())
+    rad = 3.0 * U * mag + TINY * np.count_nonzero(vals)
+    return Enclosure(math.fsum(p_lo.tolist()), math.fsum(p_hi.tolist())
+                     ).widen(math.nextafter(rad, math.inf))
+
+
+def _per_point_evaluate(ser, y) -> EvalResult:
+    """evaluate one point at a time with Enclosure arithmetic, each f_j
+    from the scalar reference closures: the reference whose floats the
+    batch path must reproduce."""
+    y = ser.family.domain.require(y)
+    m = ser.split_index(y)
+    n = ser.n_terms
+    k = n
+    if 0 < m < n:
+        phi = ser.family.off_ball_bound(y, ser.log_inv_r[m])
+        if phi <= ser.consts.alpha:
+            k = m
+    vals = np.array([f(y) for f in head_barriers(ser)[:k]], dtype=complex)
+    sig_lo, sig_hi = ser.sigma_lo[:k], ser.sigma_hi[:k]
+    mods = np.hypot(vals.real, vals.imag)
+    num = ComplexEnclosure(_per_point_dot(sig_lo, sig_hi, vals.real),
+                           _per_point_dot(sig_lo, sig_hi, vals.imag))
+    num = num.widen(_sum_up((sig_hi * mods * BARRIER_EVAL_REL).tolist()))
+    running = np.maximum.accumulate(mods)
+    hits = np.flatnonzero(running >= ser.thresholds[:k])
+    if hits.size:
+        member_m = int(hits[0]) + 1
+    elif k < n:
+        member_m = 1 + bisect.bisect_left(
+            ser.thresholds, -running[-1], lo=k, key=operator.neg)
+    else:
+        member_m = n + 1
+    alpha_tol = ser.consts.alpha + GUARD * max(1.0, ser.consts.alpha)
+    if m == 0:
+        case = None
+    elif member_m <= n:
+        case = CaseLabel(
+            "in-W1" if member_m == 1 else "in-Wm-not-before", member_m)
+    elif k < n or mods.min() <= alpha_tol:
+        case = CaseLabel("outside-all-W")
+    else:
+        case = CaseLabel("head-exhausted")
+    start = n + 1
+    if m > start:
+        ratio = ser.consts.C / ser.consts.M
+        ser.engine.reserve(m)
+        num = num.widen(_sum_up(
+            [ratio * ser.engine.g(j).hi for j in range(start, m)]))
+    if k < n:
+        far_tail = ser._mass_after(k)
+    elif m <= start:
+        far_tail = ser.tail_after_head
+    else:
+        far_tail = ser.engine.tail(m - 1)
+    off = ser.family.exact_off_value
+    if m == 0:
+        num = num + ComplexEnclosure.from_real(far_tail)
+    elif off is not None:
+        num = num + ComplexEnclosure.from_real(far_tail * off)
+    elif k < n:
+        bound = phi * far_tail.hi
+        num = num.widen(_sum_up([bound, bound * BARRIER_EVAL_REL]))
+    else:
+        num = num.widen(ser.consts.alpha * far_tail.hi)
+    f_enc = num.div_real(ser.normalizer)
+    return EvalResult(point=y, m_of_y=m, F=f_enc, abs_F=f_enc.abs_bounds(),
+                      case=case)
+
+
+def _fields(res: EvalResult) -> tuple:
+    return (res.point, res.F.re.lo, res.F.re.hi, res.F.im.lo, res.F.im.hi,
+            res.abs_F.lo, res.abs_F.hi, res.m_of_y, res.case)
+
+
+def _assert_batch_is_per_point(ser, points):
+    batch = list(ser.evaluate_many(points))
+    assert len(batch) == len(points)
+    for y, res in zip(points, batch):
+        assert _fields(res) == _fields(_per_point_evaluate(ser, y)), y
+
+
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS,
+                         ids=[":".join(map(str, g)) for g in REFERENCE_GRIDS])
+def test_batch_equals_per_point(reference_cases, family, grid):
+    ser = reference_cases(family, 100)
+    _assert_batch_is_per_point(ser, make_grid(ser.family, *grid) + [ser.peak])
+
+
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+def test_batch_equals_per_point_at_n_1000(reference_cases, family):
+    ser = reference_cases(family, 1000)
+    _assert_batch_is_per_point(
+        ser, make_grid(ser.family, "log", 1e-30, 1.0, 100) + [ser.peak])
+
+
+@pytest.fixture(scope="module")
+def short_heads(ref_constants):
+    # N = 10: m(1e-30) = 15 > N + 1, so the head-to-split ceiling and the
+    # head-exhausted label are reached
+    return {name: build(peakfn.family_by_name(name, ref_constants),
+                        n_terms=10)
+            for name in ("synthetic", "disk-exp")}
+
+
+@pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
+def test_batch_equals_per_point_past_a_short_head(short_heads, family):
+    ser = short_heads[family]
+    points = make_grid(ser.family, "log", 1e-30, 1.0, 500) + [ser.peak]
+    results = list(ser.evaluate_many(points))
+    assert max(res.m_of_y for res in results) > ser.n_terms + 1
+    assert any(str(res.case) == "head-exhausted" for res in results)
+    _assert_batch_is_per_point(ser, points)
+
+
+def test_batches_straddle_the_cap(reference_cases, monkeypatch):
+    # every disk point with Re z = 1 calls all N = 100 barriers, so the
+    # grid holds far more pairs than one batch; each batch stays under the
+    # cap, and a point past a batch boundary gets the same floats
+    ser = reference_cases("disk-exp", 100)
+    sizes = []
+    batch_of = peakfn.PeakSeries._evaluate_batch
+
+    def recording(self, batch):
+        sizes.append([k for _, _, k, _ in batch])
+        return batch_of(self, batch)
+
+    monkeypatch.setattr(peakfn.PeakSeries, "_evaluate_batch", recording)
+    points = make_grid(ser.family, "log", 1e-30, 1.0, 500)
+    _assert_batch_is_per_point(ser, points)
+    assert len(sizes) > 5
+    assert sum(map(sum, sizes)) > 10 * BATCH_PAIRS
+    assert all(sum(ks) <= BATCH_PAIRS for ks in sizes)
+    # each batch ends where the next point would not fit
+    assert all(sum(ks) + nxt[0] > BATCH_PAIRS
+               for ks, nxt in zip(sizes, sizes[1:]))
+
+
+def test_a_point_past_the_cap_is_its_own_batch(ref_constants, monkeypatch):
+    ser = build(synthetic_family(ref_constants), n_terms=40)
+    monkeypatch.setattr(peakfn.series, "BATCH_PAIRS", 25)
+    points = make_grid(ser.family, "log", 1e-30, 1.0, 60) + [ser.peak]
+    _assert_batch_is_per_point(ser, points)
+
+
+@given(family=st.sampled_from(["synthetic", "disk-exp"]),
+       n=st.sampled_from([10, 100]),
+       kind=st.sampled_from(["log", "linear"]),
+       lo_exp=st.floats(-30.0, 0.0),
+       hi_frac=st.floats(0.0, 1.0),
+       count=st.integers(1, 80))
+@settings(max_examples=40, deadline=None)
+def test_batch_equals_per_point_on_drawn_grids(short_heads, reference_cases,
+                                               family, n, kind, lo_exp,
+                                               hi_frac, count):
+    ser = short_heads[family] if n == 10 else reference_cases(family, n)
+    lo = max(10.0 ** lo_exp, 1e-30)
+    hi = lo + (1.0 - lo) * hi_frac
+    points = make_grid(ser.family, kind, lo, hi, count)
+    _assert_batch_is_per_point(ser, points)
