@@ -11,7 +11,6 @@ verification failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -21,60 +20,6 @@ from .errors import (BuildRefusedError, ConfigError, InfeasibleParametersError,
                      PeakFnError)
 from .hypothesis import GUARD, HypothesisConstants, derive_constants
 from .weights import WeightEngine
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1 in this tool, not argparse's 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="peakfn",
-        description="Derive constants, certify inequalities, and verify "
-                    "peaking of barrier series.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, metavar="PATH",
-                       help="JSON config file")
-        p.add_argument("--out", metavar="PATH",
-                       help="write the report here instead of stdout")
-
-    p_params = sub.add_parser("params", help="derive and report constants")
-    common(p_params)
-    p_params.add_argument("--m-max", type=int, metavar="INT",
-                          help="range for the exponent-condition check")
-
-    p_cert = sub.add_parser("certify", help="run the certificate battery")
-    common(p_cert)
-    p_cert.add_argument("--m-max", type=int, metavar="INT",
-                        help="upper index for the per-m certificates")
-
-    p_build = sub.add_parser("build", help="build and save a peak series")
-    common(p_build)
-    p_build.add_argument("--terms", type=int, metavar="INT",
-                         help="head length N")
-    p_build.add_argument("--series", metavar="PATH",
-                         help="where to write the series file")
-
-    p_eval = sub.add_parser("eval", help="evaluate a series on a grid")
-    common(p_eval)
-    p_eval.add_argument("--series", metavar="PATH",
-                        help="series file produced by build")
-    p_eval.add_argument("--grid", metavar="KIND:LO:HI:COUNT",
-                        help="evaluation grid")
-
-    p_verify = sub.add_parser("verify", help="certify |F| < 1 on a grid")
-    common(p_verify)
-    p_verify.add_argument("--series", metavar="PATH",
-                          help="series file produced by build")
-    p_verify.add_argument("--grid", metavar="KIND:LO:HI:COUNT",
-                          help="verification grid")
-
-    return parser
 
 
 def _emit(text: str, out_path) -> None:
@@ -95,7 +40,7 @@ def _derive_from_config(cfg: Config):
     return derive_constants(h, D=cfg.D, M=cfg.M, L=cfg.L, m_check=cfg.m_max)
 
 
-def cmd_params(cfg: Config, m_max, out_path) -> int:
+def cmd_params(cfg: Config, m_max, out) -> int:
     if m_max is not None:
         cfg = Config(**{**cfg.__dict__, "m_max": int(m_max)})
     consts, report = _derive_from_config(cfg)
@@ -108,28 +53,28 @@ def cmd_params(cfg: Config, m_max, out_path) -> int:
         "derivation": report,
         "passed": passed,
     }
-    _emit(_json_text(payload), out_path)
+    _emit(_json_text(payload), out)
     return 0 if passed else 2
 
 
-def cmd_certify(cfg: Config, m_max, out_path) -> int:
+def cmd_certify(cfg: Config, m_max, out) -> int:
     if m_max is None:
         m_max = cfg.m_max
     consts, _ = _derive_from_config(cfg)
     report = certificates.run_all(WeightEngine(consts), m_max=int(m_max))
     payload = {"command": "certify", "m_max": int(m_max)}
     payload.update(report.to_dict())
-    _emit(_json_text(payload), out_path)
+    _emit(_json_text(payload), out)
     return 0 if report.passed else 2
 
 
-def cmd_build(cfg: Config, terms, series_path, out_path) -> int:
+def cmd_build(cfg: Config, terms, series, out) -> int:
+    path = series or cfg.series
+    if not path:
+        raise ConfigError("build needs --series PATH (or 'series' in config)")
     consts, _ = _derive_from_config(cfg)
     fam = families.family_by_name(cfg.family, consts)
     n = int(terms) if terms is not None else cfg.N
-    path = series_path or cfg.series
-    if not path:
-        raise ConfigError("build needs --series PATH (or 'series' in config)")
     built = series_mod.build(fam, n_terms=n, m_max=cfg.m_max)
     series_mod.save_series(built, path)
     payload = {
@@ -140,7 +85,7 @@ def cmd_build(cfg: Config, terms, series_path, out_path) -> int:
         "normalizer": [built.normalizer.lo, built.normalizer.hi],
         "passed": True,
     }
-    _emit(_json_text(payload), out_path)
+    _emit(_json_text(payload), out)
     return 0
 
 
@@ -149,6 +94,7 @@ def _load_for_grid(cfg: Config, series_path, grid_arg):
     if not path:
         raise ConfigError("need --series PATH (or 'series' in config); "
                           "run build first")
+    grid = parse_grid(grid_arg) if grid_arg else cfg.grid
     consts, _ = _derive_from_config(cfg)
     ser = series_mod.load_series(path, m_max=cfg.m_max)
     if ser.family.name != cfg.family:
@@ -161,7 +107,6 @@ def _load_for_grid(cfg: Config, series_path, grid_arg):
         raise ConfigError(
             f"series file {path!r} was built from other constants than the "
             f"config's: {', '.join(differ)} differ")
-    grid = parse_grid(grid_arg) if grid_arg else cfg.grid
     points = families.make_grid(ser.family, *grid.as_tuple())
     return ser, points
 
@@ -176,8 +121,8 @@ def _fmt_point(z: complex) -> str:
     return f"{_fmt(z.real)}{z.imag:+.17g}j"
 
 
-def cmd_eval(cfg: Config, series_path, grid_arg, out_path) -> int:
-    ser, points = _load_for_grid(cfg, series_path, grid_arg)
+def cmd_eval(cfg: Config, series, grid, out) -> int:
+    ser, points = _load_for_grid(cfg, series, grid)
     lines = ["y,F_re_lo,F_re_hi,F_im_lo,F_im_hi,absF_hi,case,m_of_y"]
     for res in ser.evaluate_many(points):
         lines.append(",".join([
@@ -188,42 +133,119 @@ def cmd_eval(cfg: Config, series_path, grid_arg, out_path) -> int:
             str(res.case),
             str(res.m_of_y),
         ]))
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
-def cmd_verify(cfg: Config, series_path, grid_arg, out_path) -> int:
-    ser, points = _load_for_grid(cfg, series_path, grid_arg)
+def cmd_verify(cfg: Config, series, grid, out) -> int:
+    ser, points = _load_for_grid(cfg, series, grid)
     report = ser.verify_peak(points)
     payload = {"command": "verify"}
     payload.update(report)
-    _emit(_json_text(payload), out_path)
+    _emit(_json_text(payload), out)
     return 0 if report["passed"] else 2
 
 
+# command -> (handler, help, options); option -> (metavar, help).  main reads
+# the command line against this table: building argparse parsers cost every
+# invocation about 3 ms, several times the work of params itself
+_CONFIG_OUT = {"--config": ("PATH", "JSON config file (required)"),
+               "--out": ("PATH", "write the report here instead of stdout")}
+_SERIES_IN = ("PATH", "series file produced by build")
+COMMANDS = {
+    "params": (cmd_params, "derive and report constants", {
+        **_CONFIG_OUT,
+        "--m-max": ("INT", "range for the exponent-condition check")}),
+    "certify": (cmd_certify, "run the certificate battery", {
+        **_CONFIG_OUT,
+        "--m-max": ("INT", "upper index for the per-m certificates")}),
+    "build": (cmd_build, "build and save a peak series", {
+        **_CONFIG_OUT, "--terms": ("INT", "head length N"),
+        "--series": ("PATH", "where to write the series file")}),
+    "eval": (cmd_eval, "evaluate a series on a grid", {
+        **_CONFIG_OUT, "--series": _SERIES_IN,
+        "--grid": ("KIND:LO:HI:COUNT", "evaluation grid")}),
+    "verify": (cmd_verify, "certify |F| < 1 on a grid", {
+        **_CONFIG_OUT, "--series": _SERIES_IN,
+        "--grid": ("KIND:LO:HI:COUNT", "verification grid")}),
+}
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: peakfn [-h] {{{','.join(COMMANDS)}}} ...\n"
+    opts = " ".join(f"{o} {meta}" if o == "--config" else f"[{o} {meta}]"
+                    for o, (meta, _) in COMMANDS[command][2].items())
+    return f"usage: peakfn {command} [-h] {opts}\n"
+
+
+def _help(command) -> str:
+    if command is None:
+        about = ("Derive constants, certify inequalities, and verify peaking "
+                 "of barrier series.")
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    else:
+        _, about, opts = COMMANDS[command]
+        rows = [(f"{o} {meta}", text) for o, (meta, text) in opts.items()]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    return (f"{_usage(command)}\n{about}\n\n"
+            + "".join(f"  {a:<26}{b}\n" for a, b in rows))
+
+
+def _refuse(command, message):
+    # usage problems are exit code 1 in this tool
+    sys.stderr.write(f"{_usage(command)}peakfn: error: {message}\n")
+    raise SystemExit(1)
+
+
+def parse_args(argv):
+    """Read COMMAND [--opt VALUE | --opt=VALUE]...; return the command and
+    its options by name (m_max for --m-max), None where not given."""
+    if not argv:
+        _refuse(None, "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        command, rest = None, ["-h"]
+    elif command not in COMMANDS:
+        _refuse(None, f"invalid command {command!r} (choose from "
+                      f"{', '.join(COMMANDS)})")
+    if "-h" in rest or "--help" in rest:
+        sys.stdout.write(_help(command))
+        raise SystemExit(0)
+    opts = COMMANDS[command][2]
+    args = {o[2:].replace("-", "_"): None for o in opts}
+    i = 0
+    while i < len(rest):
+        name, eq, value = rest[i].partition("=")
+        if name not in opts:
+            _refuse(command, f"unrecognized argument: {rest[i]}")
+        if not eq:  # a value that starts with "-" needs --opt=VALUE
+            i += 1
+            if i == len(rest) or rest[i].startswith("-"):
+                _refuse(command, f"argument {name}: expected one argument")
+            value = rest[i]
+        i += 1
+        try:
+            args[name[2:].replace("-", "_")] = (
+                int(value) if opts[name][0] == "INT" else value)
+        except ValueError:
+            _refuse(command, f"argument {name}: invalid int value: {value!r}")
+    if args["config"] is None:
+        _refuse(command, "the following arguments are required: --config")
+    return command, args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "params":
-            return cmd_params(cfg, args.m_max, args.out)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.m_max, args.out)
-        if args.command == "build":
-            return cmd_build(cfg, args.terms, args.series, args.out)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.series, args.grid, args.out)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.series, args.grid, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        cfg = load_config(args.pop("config"))
+        return COMMANDS[command][0](cfg, **args)
     except (InfeasibleParametersError, BuildRefusedError) as exc:
         sys.stderr.write(f"peakfn: {exc}\n")
         return 2
     except (PeakFnError, ValueError, OSError) as exc:
         sys.stderr.write(f"peakfn: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import peakfn
-from peakfn import cli
+from peakfn import cli, series as series_mod
 
 
 REF_CFG = {"alpha": 0.5, "s": 1.0, "t": 0.75, "A": 0.5, "C": 2.0}
@@ -139,6 +139,104 @@ def test_usage_errors_exit_1(cfg_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["params"])
     assert exc.value.code == 1
+
+
+NONE = dict.fromkeys(["out", "m_max", "terms", "series", "grid"])
+
+
+@pytest.mark.parametrize("argv,command,expect", [
+    (["params", "--config", "c.json"], "params", {"config": "c.json"}),
+    (["params", "--m-max=40", "--config=c.json"], "params",
+     {"config": "c.json", "m_max": 40}),
+    (["certify", "--out", "r.json", "--config", "c.json", "--m-max", "7"],
+     "certify", {"config": "c.json", "out": "r.json", "m_max": 7}),
+    (["build", "--terms", "5", "--series=s.json", "--config", "c.json",
+      "--terms", "80"], "build",
+     {"config": "c.json", "terms": 80, "series": "s.json"}),
+    (["eval", "--grid=log:1e-6:1:5", "--config", "a.json", "--series",
+      "s.json", "--config=c.json"], "eval",
+     {"config": "c.json", "series": "s.json", "grid": "log:1e-6:1:5"}),
+    (["verify", "--config", "c.json", "--series", "s.json", "--grid",
+      "linear:0.5:1:3", "--out="], "verify",
+     {"config": "c.json", "series": "s.json", "grid": "linear:0.5:1:3",
+      "out": ""}),
+    (["build", "--config", "c.json", "--series=-odd.json"], "build",
+     {"config": "c.json", "series": "-odd.json"}),
+])
+def test_accepted_command_lines(argv, command, expect):
+    # any order, either value form, the last of a repeated option wins
+    got_command, got = cli.parse_args(argv)
+    assert got_command == command
+    options = {o[2:].replace("-", "_") for o in cli.COMMANDS[command][2]}
+    assert got == {k: v for k, v in {**NONE, **expect}.items()
+                   if k in options}
+
+
+@pytest.mark.parametrize("argv,named", [
+    ([], "required: command"),
+    (["frobnicate", "--config", "{cfg}"], "invalid command 'frobnicate'"),
+    (["--config", "{cfg}", "params"], "invalid command '--config'"),
+    (["params"], "required: --config"),
+    (["params", "--config", "{cfg}", "--terms", "5"],
+     "unrecognized argument: --terms"),
+    (["eval", "--config", "{cfg}", "--bogus", "1"],
+     "unrecognized argument: --bogus"),
+    (["params", "--config", "{cfg}", "stray"], "unrecognized argument: stray"),
+    (["params", "--config"], "argument --config: expected one argument"),
+    (["build", "--config", "{cfg}", "--series", "--terms", "5"],
+     "argument --series: expected one argument"),
+    (["build", "--config", "{cfg}", "--terms", "x"],
+     "argument --terms: invalid int value: 'x'"),
+    (["certify", "--config", "{cfg}", "--m-max=4.5"],
+     "argument --m-max: invalid int value: '4.5'"),
+    (["params", "--conf", "{cfg}"], "unrecognized argument: --conf"),
+], ids=["no-command", "unknown-command", "option-first", "no-config",
+        "other-command-option", "unknown-option", "stray-token",
+        "missing-value", "option-as-value", "terms-x", "m-max-float",
+        "abbreviation"])
+def test_refused_command_lines(cfg_path, tmp_path, capsys, argv, named):
+    out = tmp_path / "out.json"
+    argv = [a.replace("{cfg}", str(cfg_path)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)] if argv else argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: peakfn ")
+    assert error.startswith("peakfn: error: ") and named in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"]] + [
+    [c, flag] for c in COMMANDS for flag in ("-h", "--help")] + [
+    ["build", "--config", "c.json", "--terms", "x", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: peakfn ")
+    if argv[0] in cli.COMMANDS:
+        names = list(cli.COMMANDS[argv[0]][2])
+    else:
+        names = list(cli.COMMANDS)
+    for name in names:
+        assert re.search(rf"^  {name}\b", captured.out, re.M), name
+
+
+def test_import_leaves_argparse_out():
+    # building argparse parsers was most of what params cost; neither the
+    # import nor a parse may pull argparse or its gettext in again
+    src = str(Path(peakfn.__file__).resolve().parents[1])
+    code = ("import sys, peakfn.cli\n"
+            "peakfn.cli.parse_args(['verify', '--config', 'c.json'])\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +388,38 @@ def test_eval_missing_series_file(cfg_path, tmp_path):
 
 def test_build_without_series_path(cfg_path):
     assert cli.main(["build", "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["build"], "build needs --series PATH"),
+    (["eval"], "need --series PATH"),
+    (["verify", "--grid", "log:1e-6:1"], "need --series PATH"),
+    (["eval", "--series", "{ser}", "--grid", "log:0:1"],
+     "must have the form KIND:LO:HI:COUNT"),
+    (["verify", "--series", "{ser}", "--grid", "cubic:1e-6:1:5"],
+     "grid kind 'cubic'"),
+    (["verify", "--series", "{ser}", "--grid", "log:1:1e-6:5"],
+     "needs 0 < LO <= HI"),
+], ids=["build-no-series", "eval-no-series", "verify-no-series",
+        "eval-short-grid", "verify-grid-kind", "verify-grid-order"])
+def test_refused_before_any_derivation(cfg_path, tmp_path, capsys,
+                                       monkeypatch, argv, named):
+    # the series path and the grid spec are read before the constants are
+    # derived or the series file is rebuilt, which cost O(N)
+    ser = tmp_path / "s.json"
+    ser.write_text("{}")
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("derivation or rebuild ran before the "
+                             "command line was checked")
+
+    monkeypatch.setattr(cli, "derive_constants", unreached)
+    monkeypatch.setattr(series_mod, "build", unreached)
+    argv = [a.replace("{ser}", str(ser)) for a in argv]
+    assert cli.main(argv + ["--config", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
 
 
 @pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
