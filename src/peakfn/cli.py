@@ -126,7 +126,7 @@ def cmd_eval(cfg: Config, series, grid, out) -> int:
     lines = ["y,F_re_lo,F_re_hi,F_im_lo,F_im_hi,absF_hi,case,m_of_y"]
     for res in ser.evaluate_many(points):
         lines.append(",".join([
-            _fmt_point(res.point),
+            _fmt_point(ser.family.domain.point(res.point)),
             _fmt(res.F.re.lo), _fmt(res.F.re.hi),
             _fmt(res.F.im.lo), _fmt(res.F.im.hi),
             _fmt(res.abs_F.hi),

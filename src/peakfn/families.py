@@ -9,9 +9,10 @@ four barrier conditions for the constants it was made from:
   (3) |f_r| <= C * log^t(1/r) inside the ball;
   (4) |f_r| < 1 + eps^s on the ball of radius A*r*eps, for every eps in (0,1).
 
-A family evaluates f_r at many (point, radius) pairs in one call of its
+Points are offsets delta = y - x from the peak x (see DomainModel).  A
+family evaluates f_r at many (offset, radius) pairs in one call of its
 array hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one
-radius and one point at a time.
+radius and one offset at a time.
 
 Two instances ship: a continuous piecewise family on [0,1] whose sup-norms
 genuinely grow like log^t(1/r), and a bounded holomorphic exponential
@@ -25,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -37,7 +39,12 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True, slots=True)
 class DomainModel:
-    """Closed bounded domain with a marked peak point."""
+    """Closed bounded domain with a marked peak point x.
+
+    Points are carried as offsets delta = y - x from the peak: a double
+    cannot hold a disk point within 2^-53 of x = 1 other than x itself,
+    but it holds its offset.  Membership is decided exactly on delta.
+    """
 
     name: str
     dimension: int
@@ -45,26 +52,57 @@ class DomainModel:
     diameter: float
     _member: Callable[[complex], bool]
 
-    def contains(self, y) -> bool:
-        return self._member(complex(y))
+    def contains(self, delta) -> bool:
+        return self._member(complex(delta))
 
-    def distance_to_peak(self, y) -> float:
-        return abs(complex(y) - self.peak)
+    def distance_to_peak(self, delta) -> float:
+        return abs(complex(delta))
 
-    def require(self, y) -> complex:
-        z = complex(y)
-        if not self._member(z):
-            raise DomainError(f"point {y!r} lies outside domain {self.name!r}")
-        return z
+    def require(self, delta) -> complex:
+        offset = complex(delta)
+        if not self._member(offset):
+            raise DomainError(f"offset {delta!r} from the peak lies outside "
+                              f"domain {self.name!r}")
+        return offset
+
+    def point(self, delta) -> complex:
+        """The point x + delta rounded to binary64, as reports print it."""
+        return self.peak + complex(delta)
 
 
-def _interval_member(z: complex) -> bool:
-    # no shell below 0: every barrier is 1 there, so F would be 1 too
-    return z.imag == 0.0 and 0.0 <= z.real <= 1.0 + 1e-13
+def _interval_member(delta: complex) -> bool:
+    # x = 0, so delta = y; below 0 every barrier is 1, so F would be 1 too
+    return delta.imag == 0.0 and 0.0 <= delta.real <= 1.0
 
 
-def _disk_member(z: complex) -> bool:
-    return abs(z) <= 1.0 + 1e-13
+# relative and absolute error bound of the float test in _disk_member
+_DISK_REL = 2.0 ** -50
+_DISK_ABS = 2.0 ** -1070
+
+
+def _disk_member(delta: complex) -> bool:
+    """|1 + delta| <= 1, i.e. E = 2 Re delta + |delta|^2 <= 0, exactly.
+
+    In floats E is e = fl(2a + fl(fl(a^2) + fl(b^2))), a + ib = delta.  Each
+    product is off by at most u times itself plus 2^-1075 (underflow), the
+    sum of squares by u more, and 2a + t by u|2a + t|, so |e - E| <= 4u S +
+    2^-1073 with S = 2|a| + a^2 + b^2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3).  Twice that band, computed in
+    floats, decides every e outside it; inside it Fraction arithmetic does.
+    """
+    a, b = delta.real, delta.imag
+    # the closed disk lies in this box; NaN and infinities fail here
+    if not (-2.0 <= a <= 0.0 and -1.0 <= b <= 1.0):
+        return False
+    t = a * a + b * b
+    e = 2.0 * a + t
+    band = (t - 2.0 * a) * _DISK_REL + _DISK_ABS
+    if e < -band:
+        return True
+    if e > band:
+        return False
+    fa, fb = Fraction(a), Fraction(b)
+    return 2 * fa + fa * fa + fb * fb <= 0
 
 
 UNIT_INTERVAL = DomainModel("interval-0-1", 1, 0.0 + 0.0j, 1.0, _interval_member)
@@ -76,10 +114,10 @@ class Barrier:
     """One instantiated barrier function at a fixed radius."""
 
     log_inv_r: float
-    func: Callable[[complex], complex]
+    func: Callable[[complex], complex]  # of the offset from the peak
 
-    def __call__(self, y) -> complex:
-        return self.func(complex(y))
+    def __call__(self, delta) -> complex:
+        return self.func(complex(delta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +148,11 @@ class BarrierFamily:
     def values(self, points: np.ndarray, which: np.ndarray,
                log_inv_r: np.ndarray) -> np.ndarray:
         """f_r(y) for many (point, radius) pairs: entry i of the complex
-        result is the barrier at log(1/r) = log_inv_r[i] evaluated at
-        points[which[i]].
+        result is the barrier at log(1/r) = log_inv_r[i] evaluated at the
+        point whose offset from the peak is points[which[i]].  The offsets
+        must be ones the domain admits.
 
-        Logarithms of a point's coordinates are taken once per point.
+        Logarithms of an offset's coordinates are taken once per point.
         Every exp, log, pow and cmath.exp is a libm call per element, and
         numpy does only correctly rounded arithmetic and exact operations,
         so each entry does not depend on the other pairs of the call:
@@ -123,11 +162,11 @@ class BarrierFamily:
         """
         return self._values(points, which, log_inv_r)
 
-    def off_ball_bound(self, y: complex, log_inv_r: float) -> float:
-        """Upper bound on |f_r(y)|, rounded up, for every radius
-        r <= min(exp(-log_inv_r), |y - x|) at a point y the domain admits;
-        it does not increase as log_inv_r grows."""
-        return self._off_bound(complex(y), float(log_inv_r))
+    def off_ball_bound(self, delta: complex, log_inv_r: float) -> float:
+        """Upper bound on |f_r(x + delta)|, rounded up, for every radius
+        r <= min(exp(-log_inv_r), |delta|) at an offset delta the domain
+        admits; it does not increase as log_inv_r grows."""
+        return self._off_bound(complex(delta), float(log_inv_r))
 
     def certificate(self) -> dict:
         """Closed-form certificate of the four barrier conditions at every
@@ -171,8 +210,9 @@ def _one_point(values, lir: float) -> Barrier:
     lirs = np.array([lir])
     first = np.zeros(1, dtype=np.intp)
 
-    def f(z: complex) -> complex:
-        return complex(values(np.array([z], dtype=complex), first, lirs)[0])
+    def f(delta: complex) -> complex:
+        return complex(values(np.array([delta], dtype=complex), first,
+                              lirs)[0])
 
     return Barrier(log_inv_r=lir, func=f)
 
@@ -204,7 +244,7 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
     two_over_gap = 2.0 / (1.0 - big_a)
 
     def values(points, which, lir):
-        y = points.real
+        y = points.real  # x = 0: the offset is the point
         above = y > 0.0
         log_y = np.zeros(len(y))
         log_y[above] = _libm(math.log, y[above])
@@ -280,11 +320,9 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
         return out
 
     def values(points, which, lir):
-        dz = points - 1.0
-        # Re(z) <= 1 on the closed disk; clamp tolerance-shell overshoot
-        dx = np.minimum(dz.real, 0.0)
-        dy = dz.imag
-        # exponent lambda*dz computed componentwise in log space;
+        # points are offsets delta = z - 1, Re delta <= 0 on the closed disk
+        dx, dy = points.real, points.imag
+        # exponent lambda*delta computed componentwise in log space;
         # lambda itself can overflow for schedule radii
         log_lam = log_2_log_inv_alpha + 2.0 * lir
         lw = log_lam + log_abs(dx)[which]
@@ -307,11 +345,11 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
             dtype=complex, count=np.count_nonzero(live))
         return out
 
-    def off_bound(z: complex, lir: float) -> float:
-        # the modulus exp(lambda_r Re(z-1)) as f computes it, which is 1
-        # wherever Re z = 1; rounded up past the error of cmath.exp and abs
-        dx = min(z.real - 1.0, 0.0)
-        if dx == 0.0:
+    def off_bound(delta: complex, lir: float) -> float:
+        # the modulus exp(lambda_r Re delta) as f computes it, which is 1
+        # only at the peak; rounded up past the error of cmath.exp and abs
+        dx = delta.real
+        if dx >= 0.0:
             mod = 1.0
         else:
             # exp(-exp(7)) underflows to 0, which the step up covers
@@ -374,7 +412,7 @@ def _disk_audit_points(n: int) -> list[complex]:
 
 
 def _ball_probe_points(domain: DomainModel, radius: float) -> list[complex]:
-    """Points inside B(peak, radius) for the condition-(4) probe."""
+    """Offsets inside B(peak, radius) for the condition-(4) probe."""
     if radius <= 0.0:
         return []
     out: list[complex] = []
@@ -385,11 +423,12 @@ def _ball_probe_points(domain: DomainModel, radius: float) -> list[complex]:
             if domain.contains(y):
                 out.append(y)
     else:
+        # the closed disk lies on one side of its tangent at the peak
         for d in dists:
-            for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-                z = domain.peak - float(d) * cmath.exp(complex(0.0, phi))
-                if domain.contains(z):
-                    out.append(z)
+            for phi in (-0.25 * math.pi, 0.0, 0.25 * math.pi):
+                delta = -(float(d) * cmath.exp(complex(0.0, phi)))
+                if domain.contains(delta):
+                    out.append(delta)
     return out
 
 
@@ -423,7 +462,7 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
     every grid point; condition (1) is exact; condition (4) is probed on an
     epsilon grid with points planted inside each shrunken ball.  Any
     violation lands in the failures list with its condition, radius, and
-    point.
+    offset from the peak.
     """
     consts = fam.consts
     if eps_grid is None:
@@ -445,7 +484,7 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
         })
 
     def moduli(points, lir):
-        # |f_r| at each point, from one call of the array hook
+        # |f_r| at each offset, from one call of the array hook
         vals = fam.values(np.array(points, dtype=complex),
                           np.arange(len(points)), np.full(len(points), lir))
         return list(map(abs, vals.tolist()))
@@ -457,14 +496,14 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
         lir = -math.log(r)
         bar = fam.barrier(lir)
         # condition (1): exact equality at the peak
-        m1 = -abs(bar(fam.domain.peak) - 1.0)
+        m1 = -abs(bar(0j) - 1.0)
         worst["condition_1"] = min(worst["condition_1"], m1)
         if m1 < 0.0:
-            fail("condition_1", r, fam.domain.peak, m1)
+            fail("condition_1", r, 0j, m1)
         if fam.domain.dimension == 1:
             grid = [complex(v, 0.0) for v in _interval_audit_points(r, grid_size)]
         else:
-            grid = _disk_audit_points(grid_size)
+            grid = [z - fam.domain.peak for z in _disk_audit_points(grid_size)]
         cap = consts.C * math.pow(lir, consts.t)
         tol2 = GUARD * max(1.0, consts.alpha)
         tol3 = GUARD * max(1.0, cap)
@@ -506,13 +545,15 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
 
 def make_grid(fam: BarrierFamily, kind: str, lo: float, hi: float,
               count: int) -> list[complex]:
-    """Deterministic evaluation grid approaching the peak.
+    """Deterministic evaluation grid approaching the peak, as offsets
+    delta = y - x from it.
 
-    Grid points are parameterized by distance to the peak, spaced log or
-    linear on [lo, hi].  On the interval the point at distance d is d
-    itself; on the disk each distance shell carries eight points
-    peak - d*exp(i*phi), filtered to the closed disk.  The floor protects
-    the certified regime: distances below 1e-30 are out of scope.
+    Grid points are parameterized by distance d to the peak, spaced log or
+    linear on [lo, hi].  On the interval the offset at distance d is d
+    itself; on the disk each distance shell carries the offsets
+    -d*exp(i*phi) at eight angles phi that the domain's exact test admits.
+    No offset is emitted twice.  The floor protects the certified regime:
+    distances below 1e-30 are out of scope.
     """
     if kind not in ("log", "linear"):
         raise InvalidParameterError(f"grid kind must be log|linear, got {kind!r}")
@@ -529,16 +570,17 @@ def make_grid(fam: BarrierFamily, kind: str, lo: float, hi: float,
     if fam.domain.dimension == 1:
         dists = (np.geomspace(lo, hi, count) if kind == "log"
                  else np.linspace(lo, hi, count))
-        return [complex(float(d), 0.0) for d in dists]
-    n_shell = max(1, count // 8)
-    dists = (np.geomspace(lo, hi, n_shell) if kind == "log"
-             else np.linspace(lo, hi, n_shell))
-    pts = []
-    for d in dists:
-        for jj in range(8):
-            phi = _TWO_PI * jj / 8.0
-            z = fam.domain.peak - float(d) * cmath.exp(complex(0.0, phi))
-            # strictly inside the closed disk, clear of the tolerance shell
-            if abs(z) <= 1.0 and z != fam.domain.peak:
-                pts.append(z)
-    return pts
+        pts = [complex(float(d), 0.0) for d in dists]
+    else:
+        n_shell = max(1, count // 8)
+        dists = (np.geomspace(lo, hi, n_shell) if kind == "log"
+                 else np.linspace(lo, hi, n_shell))
+        turns = [cmath.exp(complex(0.0, _TWO_PI * jj / 8.0)) for jj in range(8)]
+        pts = []
+        for d in dists.tolist():
+            for turn in turns:
+                delta = -(d * turn)
+                if fam.domain.contains(delta):
+                    pts.append(delta)
+    # equal distances (lo = hi, or a spacing below one ulp) repeat offsets
+    return list(dict.fromkeys(pts))

@@ -4,7 +4,8 @@ The series F(y) = sigma^{-1} sum_j sigma_j f_j(y) is materialized as a head
 of N explicit barriers plus a certified bound on everything after the head.
 Evaluation returns rectangle enclosures of F(y); membership classification
 follows the case split on the sets W_m = {y : max_{j<=m} |f_j(y)| >= 1 +
-eps_m^s}.
+eps_m^s}.  Points are given as offsets delta = y - x from the peak x (see
+families.DomainModel); reports print x + delta rounded to binary64.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ BATCH_PAIRS = 2048
 
 @dataclass
 class EvalResult:
-    point: complex
+    point: complex       # the offset delta = y - x from the peak
     m_of_y: int          # min m with r_m <= |y - x|; 0 at the peak itself
     F: ComplexEnclosure
     abs_F: Enclosure
@@ -89,26 +90,23 @@ class PeakSeries:
                                     for lie in self.log_inv_eps])
         self._lirs = np.array(self.log_inv_r, dtype=float)
 
-    @property
-    def peak(self) -> complex:
-        return self.family.domain.peak
-
-    def split_index(self, y: complex) -> int:
-        """Smallest m with r_m <= |y - x|, as Schedule.split_index; 0 flags
-        the peak itself."""
-        d = self.family.domain.distance_to_peak(y)
+    def split_index(self, delta: complex) -> int:
+        """Smallest m with r_m <= |delta|, delta = y - x, as
+        Schedule.split_index; 0 flags the peak itself."""
+        d = self.family.domain.distance_to_peak(delta)
         if d == 0.0:
             return 0
         return self.engine.schedule.split_index(-math.log(d))
 
-    def evaluate(self, y: complex) -> EvalResult:
-        """Enclosure of F(y) and the case label of y: a batch of one point
-        of evaluate_many."""
-        return next(self.evaluate_many([y]))
+    def evaluate(self, delta: complex) -> EvalResult:
+        """Enclosure of F(y) and the case label of y = x + delta: a batch
+        of one point of evaluate_many."""
+        return next(self.evaluate_many([delta]))
 
     def evaluate_many(self, points) -> Iterator[EvalResult]:
-        """Enclosure of F(y) and the case label of y at each point, from
-        one evaluation of each head barrier up to the split index m = m(y).
+        """Enclosure of F(y) and the case label of y at each point, given
+        as its offset delta = y - x from the peak, from one evaluation of
+        each head barrier up to the split index m = m(y).
 
         Past m every barrier lies off its ball.  So when m < N and the
         family's off_ball_bound phi at r_{m+1} is at most alpha, only
@@ -133,29 +131,29 @@ class PeakSeries:
             [self.family.domain.require(y) for y in points])
 
     def _evaluate_admitted(self, points: list) -> Iterator[EvalResult]:
-        """evaluate_many at points the domain has admitted."""
+        """evaluate_many at offsets the domain has admitted."""
         n = self.n_terms
         batch: list[tuple] = []
         pairs = 0
-        for y in points:
-            m = self.split_index(y)
+        for delta in points:
+            m = self.split_index(delta)
             # the barriers called: f_1..f_k
             k, phi = n, None
             if 0 < m < n:
-                phi = self.family.off_ball_bound(y, self.log_inv_r[m])
+                phi = self.family.off_ball_bound(delta, self.log_inv_r[m])
                 if phi <= self.consts.alpha:
                     k = m
             if batch and pairs + k > BATCH_PAIRS:
                 yield from self._evaluate_batch(batch)
                 batch, pairs = [], 0
-            batch.append((y, m, k, phi))
+            batch.append((delta, m, k, phi))
             pairs += k
         if batch:
             yield from self._evaluate_batch(batch)
 
     def _evaluate_batch(self, batch: list) -> list[EvalResult]:
-        """evaluate_many over (y, m(y), k(y), phi) tuples.  Pair i of the
-        flat arrays is f_{j_i + 1} at point which_i; the box around the
+        """evaluate_many over (delta, m(y), k(y), phi) tuples.  Pair i of
+        the flat arrays is f_{j_i + 1} at point which_i; the box around the
         numerator is the arrays lo and hi, real parts in row 0 and
         imaginary parts in row 1."""
         n, consts = self.n_terms, self.consts
@@ -165,8 +163,8 @@ class PeakSeries:
         which = np.repeat(np.arange(len(batch)), counts)
         j = np.arange(ends[-1]) - starts[which]
         vals = self.family.values(
-            np.array([y for y, _, _, _ in batch], dtype=complex), which,
-            self._lirs[j])
+            np.array([delta for delta, _, _, _ in batch], dtype=complex),
+            which, self._lirs[j])
         sig_lo, sig_hi = self.sigma_lo[j], self.sigma_hi[j]
         # hypot of the parts is what abs() of a Python complex computes;
         # np.abs of a complex array can differ from it in the last bit
@@ -198,7 +196,7 @@ class PeakSeries:
         ceiling = np.zeros(len(batch))
         add_lo, add_hi = np.zeros((2, len(batch))), np.zeros((2, len(batch)))
         charge = np.zeros(len(batch))
-        for i, (y, m, k, phi) in enumerate(batch):
+        for i, (_, m, k, phi) in enumerate(batch):
             member_m = int(member[i])
             if m == 0:
                 cases.append(None)
@@ -247,11 +245,11 @@ class PeakSeries:
         abs_lo = down(np.maximum(0.0, list(map(math.hypot,
                                                *mag_lo.tolist()))))
         abs_hi = up(np.array(list(map(math.hypot, *mag_hi.tolist()))))
-        return [EvalResult(point=y, m_of_y=m,
+        return [EvalResult(point=delta, m_of_y=m,
                            F=ComplexEnclosure(Enclosure(rl, rh),
                                               Enclosure(il, ih)),
                            abs_F=Enclosure(al, ah), case=case)
-                for (y, m, _, _), rl, il, rh, ih, al, ah, case in zip(
+                for (delta, m, _, _), rl, il, rh, ih, al, ah, case in zip(
                     batch, *lo.tolist(), *hi.tolist(), abs_lo.tolist(),
                     abs_hi.tolist(), cases)]
 
@@ -268,16 +266,19 @@ class PeakSeries:
                 math.nextafter(lo, -math.inf), hi)
         return mass
 
-    def classify(self, y: complex) -> CaseLabel:
-        """Case label of an off-peak point; see evaluate."""
-        if self.family.domain.require(y) == self.peak:
+    def classify(self, delta: complex) -> CaseLabel:
+        """Case label of an off-peak point, given by its offset from the
+        peak; see evaluate."""
+        if self.family.domain.require(delta) == 0:
             raise DomainError("classification applies off the peak point")
-        return self.evaluate(y).case
+        return self.evaluate(delta).case
 
     def verify_peak(self, grid) -> dict:
         """Certify |F(y)| < 1 at every grid point and F(x) around 1.
 
-        grid: iterable of points, or a (kind, lo, hi, count) spec tuple.
+        grid: iterable of offsets from the peak, or a (kind, lo, hi, count)
+        spec tuple.  The report names each point by x + delta rounded to
+        binary64, so near the peak several points can print alike.
         """
         if isinstance(grid, tuple) and len(grid) == 4:
             points = families.make_grid(self.family, *grid)
@@ -285,12 +286,12 @@ class PeakSeries:
             points = list(grid)
         if not points:
             raise DomainError("verification grid is empty")
-        peak = complex(self.peak)
+        domain = self.family.domain
         admitted = []
-        for y in points:
-            if complex(y) == peak:
+        for delta in points:
+            if complex(delta) == 0:
                 raise DomainError("verification grid must exclude the peak")
-            admitted.append(self.family.domain.require(y))
+            admitted.append(domain.require(delta))
         per_point = []
         failures = []
         min_margin = math.inf
@@ -298,8 +299,9 @@ class PeakSeries:
         max_abs_hi = 0.0
         for res in self._evaluate_admitted(admitted):
             margin = 1.0 - res.abs_F.hi
+            y = _point_repr(domain.point(res.point))
             per_point.append({
-                "y": _point_repr(res.point),
+                "y": y,
                 "abs_hi": res.abs_F.hi,
                 "margin": margin,
                 "case": str(res.case),
@@ -307,11 +309,11 @@ class PeakSeries:
             })
             if margin < min_margin:
                 min_margin = margin
-                argmin = _point_repr(res.point)
+                argmin = y
             max_abs_hi = max(max_abs_hi, res.abs_F.hi)
             if margin <= 0.0:
-                failures.append(_point_repr(res.point))
-        at_peak = self.evaluate(peak)
+                failures.append(y)
+        at_peak = self.evaluate(0j)
         contains_one = at_peak.F.re.contains(1.0) and at_peak.F.im.contains(0.0)
         return {
             "family": self.family.name,

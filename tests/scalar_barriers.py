@@ -1,7 +1,7 @@
 """The barrier families one point and one radius at a time: the closures
 each family made per radius before evaluation went through the array hook
 BarrierFamily.values, kept as the reference the hook must equal bit for
-bit."""
+bit.  Points are offsets from the peak, as the hook takes them."""
 
 import cmath
 import math
@@ -16,8 +16,8 @@ def synthetic(consts, lir):
     two_over_gap = 2.0 / (1.0 - big_a)
     cap = consts.C * math.pow(lir, consts.t)
 
-    def f(z: complex) -> complex:
-        y = z.real
+    def f(delta: complex) -> complex:
+        y = delta.real
         if y <= 0.0:
             return complex(1.0, 0.0)
         w = math.log(y) + lir
@@ -38,12 +38,11 @@ def synthetic(consts, lir):
 def disk_exp(consts, lir):
     log_lam = math.log(2.0 * math.log(1.0 / consts.alpha)) + 2.0 * lir
 
-    def f(z: complex) -> complex:
-        dz = z - 1.0
-        if dz == 0.0:
+    def f(delta: complex) -> complex:
+        if delta == 0.0:
             return complex(1.0, 0.0)
-        dx = min(dz.real, 0.0)
-        dy = dz.imag
+        dx = delta.real
+        dy = delta.imag
         if dx == 0.0:
             wre = 0.0
         else:
@@ -67,5 +66,6 @@ BY_NAME = {"synthetic": synthetic, "disk-exp": disk_exp}
 
 
 def scalar_barrier(fam, lir):
-    """f_r as a function of one complex point, r = exp(-lir)."""
+    """f_r as a function of the offset delta = y - x of one point from the
+    peak, r = exp(-lir)."""
     return BY_NAME[fam.name](fam.consts, lir)

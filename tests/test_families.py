@@ -5,15 +5,18 @@ import cmath
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_barriers import scalar_barrier
 
 from peakfn import (HypothesisConstants, Schedule, audit_family,
                     derive_constants, disk_exponential_family, family_by_name,
                     make_grid, synthetic_family)
-from peakfn.errors import FamilyAuditError, InvalidParameterError
+from peakfn.errors import DomainError, FamilyAuditError, InvalidParameterError
 from peakfn.families import UNIT_DISK, UNIT_INTERVAL
 from peakfn.hypothesis import GUARD
 
@@ -89,27 +92,35 @@ def test_disk_audit_passes(disk):
 
 
 def test_disk_barrier_pointwise(disk):
+    # barriers take the offset delta = z - 1 from the peak
     bar = disk.barrier(math.log(1.0 / 0.1))  # r = 0.1
-    assert bar(1.0 + 0.0j) == 1.0
+    assert bar(0j) == 1.0
     lam = 2.0 * math.log(2.0) / 0.01
-    z = 0.9 + 0.0j
-    expected = cmath.exp(lam * (z - 1.0))
-    assert abs(bar(z) - expected) <= 1e-12 * abs(expected) + 1e-300
+    delta = -0.1 + 0.0j  # z = 0.9
+    expected = cmath.exp(lam * delta)
+    assert abs(bar(delta) - expected) <= 1e-12 * abs(expected) + 1e-300
     # modulus never exceeds 1 on the disk
     for phi in (0.0, 0.7, 2.1, 3.9, 5.5):
         for rad in (0.3, 0.9, 1.0):
             w = rad * cmath.exp(1j * phi)
-            assert abs(bar(w)) <= 1.0 + 1e-12
+            assert abs(bar(w - 1.0)) <= 1.0 + 1e-12
 
 
 def test_disk_barrier_tolerance_shell_is_safe(disk):
-    # points admitted by the domain tolerance but with Re z > 1 must not
-    # blow up (regression: the exponent used to overflow here)
-    bar = disk.barrier(math.log(1.0 / 0.05))
-    z = complex(1.0 + 1e-15, 0.0)
-    assert abs(bar(z)) <= 1.0 + 1e-12
-    deep = disk.barrier(150.0)  # r = e^-150, schedule scale
-    assert abs(deep(z)) <= 1.0 + 1e-12
+    # the domain once admitted a 1e-13 shell past the circle, where the
+    # barrier had to clamp Re(z - 1) to 0; the exact test refuses it: at
+    # z = 1 - 1e-17j (Re z = 1.0, so |z| > 1), 1 + 1e-15 and 1 + 1e-13
+    for delta in (-1e-17j, 1e-15, 1e-13):
+        assert not disk.domain.contains(delta)
+        with pytest.raises(DomainError):
+            disk.domain.require(delta)
+    # admitted offsets along the tangent at the peak, where |Re delta| is
+    # far below |Im delta|, keep the modulus at most 1, at a grid radius
+    # and a schedule one
+    for lir in (math.log(1.0 / 0.05), 150.0):
+        for delta in (complex(-1e-34, -1e-17), complex(-2e-15, 4e-8)):
+            assert disk.domain.contains(delta)
+            assert abs(disk.barrier(lir)(delta)) <= 1.0
 
 
 # -- the array hook against the scalar closures ------------------------------
@@ -161,25 +172,28 @@ def test_synthetic_hook_at_every_radius_and_seam(syn, head_radii):
 
 def test_disk_hook_at_every_radius_and_branch(disk, head_radii):
     points = make_grid(disk, "log", 1e-30, 1.0, 500)
-    # Re z = 1 off the peak, dz = 0, and the tolerance shell past Re z = 1
-    points += [1.0 + 1e-20j, 1.0 - 3e-5j, 1.0 + 0.5j, 1.0 + 0.0j,
-               complex(1.0, -0.0), complex(1.0 + 1e-15, 0.0),
-               complex(1.0 + 1e-15, 1e-9), 0.0j, -1.0 + 0.0j]
+    # the peak (either sign of zero), Re delta far below Im delta at the
+    # edge of the disk, and z = 0.5 + 0.5j, 0, -1 and 1j
+    points += [0j, complex(-0.0, -0.0), complex(-1e-40, 1e-20),
+               complex(-5e-10, -3e-5), -0.5 + 0.5j, -1.0 + 0.0j,
+               -2.0 + 0.0j, -1.0 + 1.0j]
     log_2_log_inv_alpha = math.log(2.0 * math.log(1.0 / disk.consts.alpha))
     branches = set()
     for lir in head_radii[::7]:
         log_lam = log_2_log_inv_alpha + 2.0 * lir
-        # lw = log(lambda |Re(z - 1)|) past 7, where f underflows, and
+        # lw = log(lambda |Re delta|) past 7, where f underflows, and
         # between log(745) and 7, where wre < -745 does
         for target in (7.5, 6.8, 6.6):
-            z = complex(1.0 - math.exp(target - log_lam), 0.0)
-            if z.real == 1.0:
+            a = -math.exp(target - log_lam)
+            if not -1.0 <= a < 0.0:  # outside the disk, or below 2^-1074
                 continue
-            points += [z, z + 1e-3j, complex(z.real, z.real - 1.0)]
-            lw = log_lam + math.log(1.0 - z.real)
+            points += [complex(a, 0.0), complex(a, math.sqrt(-a)),
+                       complex(a, a)]
+            lw = log_lam + math.log(-a)
             branches.add("lw > 7" if lw > 7.0 else
                          "wre < -745" if math.exp(lw) > 745.0 else "")
     assert {"lw > 7", "wre < -745"} <= branches
+    assert all(map(disk.domain.contains, points))
     _assert_hook_is_scalar(disk, points, head_radii)
 
 
@@ -193,8 +207,7 @@ def test_off_ball_bound_does_not_grow_as_r_shrinks(ref_constants, name):
         if fam.domain.dimension == 1:
             y = complex(d, 0.0)
         else:
-            y = fam.domain.peak - d * cmath.exp(
-                complex(0.0, rng.uniform(0.0, 2.0 * math.pi)))
+            y = -(d * cmath.exp(complex(0.0, rng.uniform(0.0, 2.0 * math.pi))))
             if not fam.domain.contains(y):
                 continue
         lirs = sorted(rng.uniform(fam.min_log_inv_r, 800.0) for _ in range(6))
@@ -210,16 +223,51 @@ def test_off_ball_bound_does_not_grow_as_r_shrinks(ref_constants, name):
 
 
 def test_domains():
+    # points are offsets from the peak: x = 0 on the interval, 1 on the disk
     assert UNIT_INTERVAL.contains(0.5)
     assert not UNIT_INTERVAL.contains(1.5)
     assert not UNIT_INTERVAL.contains(0.5 + 0.1j)
-    # the shell above 1 stays; below the peak no shell is admitted
-    assert UNIT_INTERVAL.contains(0.0) and UNIT_INTERVAL.contains(1.0 + 1e-13)
-    assert not UNIT_INTERVAL.contains(-1e-14)
-    assert not UNIT_INTERVAL.contains(-5e-324)
-    assert UNIT_DISK.contains(0.5 + 0.5j)
-    assert not UNIT_DISK.contains(1.2)
-    assert UNIT_DISK.distance_to_peak(0.0) == 1.0
+    # no shell on either side of [0, 1]
+    assert UNIT_INTERVAL.contains(0.0) and UNIT_INTERVAL.contains(1.0)
+    for y in (1.0 + 1e-15, 1.0 + 1e-13, -1e-14, -5e-324):
+        assert not UNIT_INTERVAL.contains(y)
+        with pytest.raises(DomainError):
+            UNIT_INTERVAL.require(y)
+    assert UNIT_DISK.contains(-0.5 + 0.5j)  # z = 0.5 + 0.5j
+    assert not UNIT_DISK.contains(0.2)      # z = 1.2
+    assert UNIT_DISK.contains(-2.0) and UNIT_DISK.contains(-1.0 + 1.0j)
+    assert UNIT_DISK.distance_to_peak(-1.0) == 1.0
+    assert UNIT_DISK.point(-1e-30j) == 1.0 - 1e-30j
+    assert not UNIT_DISK.contains(complex("nan")) and \
+        not UNIT_DISK.contains(complex(-math.inf, 0.0))
+
+
+def _exactly_in_disk(delta: complex) -> bool:
+    a, b = Fraction(delta.real), Fraction(delta.imag)
+    return 2 * a + a * a + b * b <= 0
+
+
+def _nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@given(angle=st.floats(-math.pi, math.pi),
+       steps=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       scale=st.floats(-60.0, 0.5))
+@settings(max_examples=400, deadline=None)
+def test_disk_membership_is_exact(angle, steps, scale):
+    # the float test decides outside its error band and Fraction inside
+    # it; these offsets sit in or near the band: points of the unit circle
+    # rounded to doubles and moved a few ulps, and points where 2 Re delta
+    # and |delta|^2 nearly cancel at the peak's tangent
+    z = cmath.exp(complex(0.0, angle))
+    edge = complex(_nudge(z.real - 1.0, steps[0]), _nudge(z.imag, steps[1]))
+    d = 10.0 ** scale
+    tangent = complex(_nudge(-d * d / 2.0, steps[0]), d)
+    for delta in (edge, tangent, complex(-d, d), complex(d, -d)):
+        assert UNIT_DISK.contains(delta) is _exactly_in_disk(delta), delta
 
 
 def test_make_grid_interval(syn):
@@ -234,10 +282,40 @@ def test_make_grid_interval(syn):
 def test_make_grid_disk(disk):
     pts = make_grid(disk, "log", 1e-6, 2.0, 200)
     assert len(pts) >= 25
-    peak = disk.domain.peak
-    for z in pts:
-        assert abs(z) <= 1.0
-        assert z != peak
+    for delta in pts:
+        assert _exactly_in_disk(delta)
+        assert delta != 0
+    # 1 - 1.5234e-17j was emitted twice when points were stored as z
+    pts = make_grid(disk, "log", 1e-20, 1.0, 56)
+    assert len(set(pts)) == len(pts)
+
+
+def _old_interval_grid(kind, lo, hi, count):
+    dists = (np.geomspace(lo, hi, count) if kind == "log"
+             else np.linspace(lo, hi, count))
+    return [complex(float(d), 0.0) for d in dists]
+
+
+@given(name=st.sampled_from(["synthetic", "disk-exp"]),
+       kind=st.sampled_from(["log", "linear"]),
+       lo_exp=st.floats(-30.0, 0.0),
+       hi_frac=st.sampled_from([0.0, 1e-16, 1e-9]) | st.floats(0.0, 1.0),
+       count=st.integers(1, 400))
+@settings(max_examples=150, deadline=None)
+def test_make_grid_emits_distinct_admitted_offsets(ref_constants, name, kind,
+                                                   lo_exp, hi_frac, count):
+    fam = family_by_name(name, ref_constants)
+    lo = max(10.0 ** lo_exp, 1e-30)
+    hi = min(lo + (fam.domain.diameter - lo) * hi_frac, fam.domain.diameter)
+    pts = make_grid(fam, kind, lo, hi, count)
+    assert pts and len(set(pts)) == len(pts)
+    if fam.domain.dimension == 1:
+        assert all(0.0 <= p.real <= 1.0 and p.imag == 0.0 for p in pts)
+        # the interval grid keeps its points and their order
+        assert pts == list(dict.fromkeys(_old_interval_grid(kind, lo, hi,
+                                                            count)))
+    else:
+        assert all(map(_exactly_in_disk, pts)) and 0j not in pts
 
 
 def test_make_grid_validation(syn):

@@ -21,8 +21,8 @@ from peakfn import Constants, build, load_series, make_grid, save_series, \
 from peakfn.enclosure import ComplexEnclosure, Enclosure
 from peakfn.errors import BuildRefusedError, ConfigError, DomainError
 from peakfn.hypothesis import GUARD
-from peakfn.series import (BARRIER_EVAL_REL, BATCH_PAIRS, SERIES_FORMAT,
-                           CaseLabel, EvalResult, _dots, _sum_up)
+from peakfn.series import (BARRIER_EVAL_REL, SERIES_FORMAT, CaseLabel,
+                           EvalResult, _dots, _sum_up)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,9 +68,9 @@ def test_peak_enclosure_comes_from_the_sum(ref_series):
 
 def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
                                                        disk_series):
-    # off the peak f_j is called only for j <= m(y) where the family's
-    # off-ball bound at r_{m+1} is at most alpha; at the peak, and where the
-    # bound exceeds alpha (disk points with Re z = 1), every f_j is called
+    # off the peak f_j is called only for j <= m(y), since the family's
+    # off-ball bound at r_{m+1} is at most alpha at every admitted point of
+    # both families; at the peak every f_j is called
     full_off_peak = 0
     for ser in (ref_series, disk_series):
         calls = {}
@@ -88,23 +88,20 @@ def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
         counting = dataclasses.replace(ser, family=dataclasses.replace(
             ser.family, _values=counted(ser.family._values)))
         points = make_grid(ser.family, "log", 1e-20, 1.0, 56)
+        assert len(set(points)) == len(points)
         rep = counting.verify_peak(points)
         assert rep["passed"]
-        assert set(calls) == set(points) | {ser.peak}
+        assert set(calls) == set(points) | {0j}
         alpha = ser.consts.alpha
         n = ser.n_terms
         for y, pp in zip(points, rep["per_point"]):
             m = pp["m_of_y"]
-            k = m
-            if (m >= n or
-                    ser.family.off_ball_bound(y, ser.log_inv_r[m]) > alpha):
-                k = n
-                full_off_peak += 1
-            # the disk grid can hold a point twice: near the peak two
-            # angles of one shell can round to the same point
-            assert calls[y] == list(range(1, k + 1)) * points.count(y)
-        assert calls[ser.peak] == list(range(1, n + 1))
-    assert full_off_peak > 0
+            assert 0 < m < n
+            assert ser.family.off_ball_bound(y, ser.log_inv_r[m]) <= alpha
+            full_off_peak += calls[y] == list(range(1, n + 1))
+            assert calls[y] == list(range(1, m + 1))
+        assert calls[0j] == list(range(1, n + 1))
+    assert full_off_peak == 0
 
 
 def test_evaluate_forced_region(ref_series):
@@ -139,7 +136,10 @@ def test_evaluate_rejects_outside(ref_series):
             ref_series.evaluate(y)
     with pytest.raises(DomainError):
         ref_series.verify_peak([-1e-14, -5e-14])
-    assert ref_series.evaluate(1.0 + 1e-13).abs_F.hi < 1.0
+    # nor above 1: the interval's 1e-13 shell is gone
+    for y in (1.0 + 1e-15, 1.0 + 1e-13):
+        with pytest.raises(DomainError):
+            ref_series.evaluate(y)
     with pytest.raises(DomainError):
         ref_series.evaluate(0.5 + 0.5j)
 
@@ -404,12 +404,18 @@ def disk_series(ref_constants):
 
 
 def test_disk_evaluate_peak_and_interior(disk_series):
-    res = disk_series.evaluate(1.0 + 0.0j)
+    # offsets from the peak z = 1: the peak, z = 0 and z = -1
+    res = disk_series.evaluate(0j)
     assert res.F.re.contains(1.0) and res.F.im.contains(0.0)
-    res = disk_series.evaluate(0.0j)
-    assert res.abs_F.hi < 1.0
     res = disk_series.evaluate(-1.0 + 0.0j)
     assert res.abs_F.hi < 1.0
+    res = disk_series.evaluate(-2.0 + 0.0j)
+    assert res.abs_F.hi < 1.0
+    # points past the circle are refused, however close: z = 1 - 1e-17j
+    # rounds to a double with Re z = 1.0
+    for delta in (-1e-17j, 1e-15, 1e-13):
+        with pytest.raises(DomainError):
+            disk_series.evaluate(delta)
 
 
 def test_disk_verify_small_grid(disk_series):
@@ -425,8 +431,8 @@ def test_disk_round_trip(disk_series, tmp_path):
     path = tmp_path / "disk.json"
     save_series(disk_series, path)
     again = load_series(path)
-    for z in (0.5 + 0.5j, 1.0 + 0.0j, 0.99 + 0.0j):
-        a, b = disk_series.evaluate(z), again.evaluate(z)
+    for delta in (-0.5 + 0.5j, 0j, -0.01 + 0.0j):
+        a, b = disk_series.evaluate(delta), again.evaluate(delta)
         assert (a.F.re, a.F.im) == (b.F.re, b.F.im)
 
 
@@ -621,7 +627,7 @@ def reference_cases(ref_constants):
 def test_evaluate_agrees_with_per_term_chain(reference_cases, family, n,
                                              grid):
     ser = reference_cases(family, n)
-    points = make_grid(ser.family, *grid) + [ser.peak]
+    points = make_grid(ser.family, *grid) + [0j]
     for y in points:
         new, ref = ser.evaluate(y), _reference_evaluate(ser, y)
         assert (new.case, new.m_of_y) == (ref.case, ref.m_of_y)
@@ -662,9 +668,11 @@ def test_off_ball_bound_holds_past_the_split(reference_cases, family):
 
 
 def test_understated_off_ball_bounds_fail(reference_cases):
-    # alpha^((d/r)^2) bounds the barrier inside the closed disk, but the
-    # grid points with Re z = 1 (where |z| > 1 in exact arithmetic) have
-    # |f_j| = 1 for every j
+    # alpha^((d/r)^2) bounds the barrier at every offset the closed disk
+    # admits, since 2 Re delta <= -|delta|^2 there.  Past the split no
+    # understated bound can be caught on the disk: r_m / r_{m+1} >= 40 on
+    # this schedule, so every |f_j| with j > m(y) is at most alpha^1600,
+    # which is 0 in binary64
     disk = reference_cases("disk-exp", 100)
     log_alpha = math.log(disk.consts.alpha)
 
@@ -672,10 +680,10 @@ def test_understated_off_ball_bounds_fail(reference_cases):
         dist = disk.family.domain.distance_to_peak(y)
         return math.exp(log_alpha * math.exp(2.0 * (math.log(dist) + lir)))
 
-    for grid in REFERENCE_GRIDS[:3]:
-        excess = _off_ball_excess(disk, gaussian, grid)
-        assert excess
-        assert all(y.real == 1.0 for y, _ in excess)
+    assert np.exp(np.diff(disk.log_inv_r)).min() >= 40.0
+    for grid in REFERENCE_GRIDS:
+        assert _off_ball_excess(disk, gaussian, grid) == []
+        assert _off_ball_excess(disk, lambda y, lir: 0.0, grid) == []
     # an off value a little below the synthetic family's alpha
     syn = reference_cases("synthetic", 100)
     low = syn.consts.alpha - 1e-3
@@ -795,14 +803,14 @@ def _assert_batch_is_per_point(ser, points):
                          ids=[":".join(map(str, g)) for g in REFERENCE_GRIDS])
 def test_batch_equals_per_point(reference_cases, family, grid):
     ser = reference_cases(family, 100)
-    _assert_batch_is_per_point(ser, make_grid(ser.family, *grid) + [ser.peak])
+    _assert_batch_is_per_point(ser, make_grid(ser.family, *grid) + [0j])
 
 
 @pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
 def test_batch_equals_per_point_at_n_1000(reference_cases, family):
     ser = reference_cases(family, 1000)
     _assert_batch_is_per_point(
-        ser, make_grid(ser.family, "log", 1e-30, 1.0, 100) + [ser.peak])
+        ser, make_grid(ser.family, "log", 1e-30, 1.0, 100) + [0j])
 
 
 @pytest.fixture(scope="module")
@@ -817,7 +825,7 @@ def short_heads(ref_constants):
 @pytest.mark.parametrize("family", ["synthetic", "disk-exp"])
 def test_batch_equals_per_point_past_a_short_head(short_heads, family):
     ser = short_heads[family]
-    points = make_grid(ser.family, "log", 1e-30, 1.0, 500) + [ser.peak]
+    points = make_grid(ser.family, "log", 1e-30, 1.0, 500) + [0j]
     results = list(ser.evaluate_many(points))
     assert max(res.m_of_y for res in results) > ser.n_terms + 1
     assert any(str(res.case) == "head-exhausted" for res in results)
@@ -825,9 +833,9 @@ def test_batch_equals_per_point_past_a_short_head(short_heads, family):
 
 
 def test_batches_straddle_the_cap(reference_cases, monkeypatch):
-    # every disk point with Re z = 1 calls all N = 100 barriers, so the
-    # grid holds far more pairs than one batch; each batch stays under the
-    # cap, and a point past a batch boundary gets the same floats
+    # with the cap at 100 pairs the grid's m(y) pairs per point fill many
+    # batches; each batch stays under the cap, and a point past a batch
+    # boundary gets the same floats
     ser = reference_cases("disk-exp", 100)
     sizes = []
     batch_of = peakfn.PeakSeries._evaluate_batch
@@ -837,20 +845,22 @@ def test_batches_straddle_the_cap(reference_cases, monkeypatch):
         return batch_of(self, batch)
 
     monkeypatch.setattr(peakfn.PeakSeries, "_evaluate_batch", recording)
+    cap = 100
+    monkeypatch.setattr(peakfn.series, "BATCH_PAIRS", cap)
     points = make_grid(ser.family, "log", 1e-30, 1.0, 500)
     _assert_batch_is_per_point(ser, points)
     assert len(sizes) > 5
-    assert sum(map(sum, sizes)) > 10 * BATCH_PAIRS
-    assert all(sum(ks) <= BATCH_PAIRS for ks in sizes)
+    assert sum(map(sum, sizes)) > 10 * cap
+    assert all(sum(ks) <= cap for ks in sizes)
     # each batch ends where the next point would not fit
-    assert all(sum(ks) + nxt[0] > BATCH_PAIRS
+    assert all(sum(ks) + nxt[0] > cap
                for ks, nxt in zip(sizes, sizes[1:]))
 
 
 def test_a_point_past_the_cap_is_its_own_batch(ref_constants, monkeypatch):
     ser = build(synthetic_family(ref_constants), n_terms=40)
     monkeypatch.setattr(peakfn.series, "BATCH_PAIRS", 25)
-    points = make_grid(ser.family, "log", 1e-30, 1.0, 60) + [ser.peak]
+    points = make_grid(ser.family, "log", 1e-30, 1.0, 60) + [0j]
     _assert_batch_is_per_point(ser, points)
 
 
