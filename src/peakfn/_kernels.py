@@ -2,8 +2,6 @@
 
 import math
 
-import numpy as np
-
 # Gauss-Legendre 7-point abscissae and weights on [-1, 1], non-negative half.
 GAUSS7_X = (0.9491079123427585, 0.7415311855993945, 0.4058451513773972, 0.0)
 GAUSS7_W = (
@@ -59,29 +57,40 @@ def bracket_quad(f, a: float, b: float) -> tuple[float, float]:
     panels = 0
     while stack:
         pa, pb, depth = stack.pop()
-        c = 0.5 * (pa + pb)
-        h = 0.5 * (pb - pa)
-        gauss = GAUSS7_W[3] * f(c)
-        for i in range(3):
-            dx = h * GAUSS7_X[i]
-            gauss += GAUSS7_W[i] * (f(c - dx) + f(c + dx))
-        lobatto = LOBATTO6_W[0] * (f(pa) + f(pb))
-        for i in (1, 2):
-            dx = h * LOBATTO6_X[i]
-            lobatto += LOBATTO6_W[i] * (f(c - dx) + f(c + dx))
-        gauss *= h
-        lobatto *= h
+        gauss, lobatto = _rules(f, pa, pb, f(pa), f(pb))
         if lobatto - gauss <= REL_WIDTH * gauss or depth >= _MAX_DEPTH:
-            rho = (32.0 + 2.0 * math.log(max(pb, 1.0))
-                   + 8.0 * pb / max(pa, 1.0)) * _U
+            rho = _rho(max(pa, 1.0), max(pb, 1.0))
             lo_sum += gauss * (1.0 - rho)
             hi_sum += lobatto * (1.0 + rho)
             panels += 1
         else:
+            c = 0.5 * (pa + pb)
             stack.append((c, pb, depth + 1))
             stack.append((pa, c, depth + 1))
     pad = (panels + 2) * _U
     return lo_sum * (1.0 - pad), hi_sum * (1.0 + pad)
+
+
+def _rules(f, a: float, b: float, fa: float, fb: float) -> tuple:
+    """The 7-point Gauss and 6-point Lobatto sums of f over [a, b], given
+    fa = f(a) and fb = f(b)."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    gauss = GAUSS7_W[3] * f(c)
+    for i in range(3):
+        dx = h * GAUSS7_X[i]
+        gauss += GAUSS7_W[i] * (f(c - dx) + f(c + dx))
+    lobatto = LOBATTO6_W[0] * (fa + fb)
+    for i in (1, 2):
+        dx = h * LOBATTO6_X[i]
+        lobatto += LOBATTO6_W[i] * (f(c - dx) + f(c + dx))
+    return gauss * h, lobatto * h
+
+
+def _rho(a1: float, b1: float) -> float:
+    """bracket_quad's relative push of a panel's ends, a1 = max(a, 1) and
+    b1 = max(b, 1)."""
+    return (32.0 + 2.0 * math.log(b1) + 8.0 * b1 / a1) * _U
 
 
 def quad_psi_negt(a, b, lid, ca, p, t):
@@ -93,68 +102,50 @@ def quad_psi_negt(a, b, lid, ca, p, t):
     rounding premises hold: with libm pow within 1 ulp and 1+p rounded,
     pow(psi_val(tau), -t) is within (4 + 2 ln max(tau, 1)) u of
     psi(tau)^(-t), and |d/dtau psi^(-t)| <= t (1+p) psi^(-t)/tau.
-
-    quad_unit_panels must give the same floats for the panels [j-1, j],
-    so it too calls libm pow at every node: numpy's power differs from
-    libm's in the last bit on about 5% of inputs, and the premise above is
-    stated for libm.
     """
     return bracket_quad(lambda s: math.pow(psi_val(s, lid, ca, p), -t), a, b)
 
 
 def quad_unit_panels(first: int, count: int, lid, ca, p, t):
     """quad_psi_negt(j - 1, j, lid, ca, p, t) for j = first..first+count-1,
-    as two float arrays (lo, hi); first >= 2.
+    as two float lists (lo, hi); first >= 2.
 
-    The same floats, in one pass: bracket_quad's node coordinates and its
-    Gauss and Lobatto sums, in its order, are numpy's elementwise + - * /,
-    which round correctly like Python's.  Every pow, and the log in rho,
-    stays a libm call per element, since numpy's may differ in the last
-    bit.  A panel whose depth-0 bracket is too wide goes to quad_psi_negt,
-    which bisects it.
+    The same floats, with each shared panel end evaluated once: a panel
+    whose depth-0 bracket is narrow enough is bracket_quad's only panel,
+    and one too wide goes to quad_psi_negt, which bisects it.  Every node
+    is >= 1, where psi_val does not clamp, so it is inlined.
     """
-    ends = np.arange(first - 1, first + count, dtype=float)
-    pa, pb = ends[:-1], ends[1:]
-    c = 0.5 * (pa + pb)
-    h = 0.5 * (pb - pa)
-    gdx = [h * x for x in GAUSS7_X[:3]]
-    ldx = [h * x for x in LOBATTO6_X[1:]]
-    # a shared panel end is one node; every node is >= 1, where psi_val
-    # does not clamp, so it is inlined below
-    nodes = np.concatenate([ends, c] + [c - dx for dx in gdx + ldx]
-                           + [c + dx for dx in gdx + ldx])
     pw = math.pow
     e = 1.0 + p
-    f = np.array([pw(s * lid + ca * pw(s, e), -t) for s in nodes.tolist()])
-    f_end = f[:count + 1]
-    f_c, f_minus, f_plus = np.split(f[count + 1:], [count, 6 * count])
-    f_minus = f_minus.reshape(5, count)
-    f_plus = f_plus.reshape(5, count)
-    gauss = GAUSS7_W[3] * f_c
-    for i in range(3):
-        gauss = gauss + GAUSS7_W[i] * (f_minus[i] + f_plus[i])
-    lobatto = LOBATTO6_W[0] * (f_end[:-1] + f_end[1:])
-    for i in (1, 2):
-        lobatto = lobatto + LOBATTO6_W[i] * (f_minus[i + 2] + f_plus[i + 2])
-    gauss = gauss * h
-    lobatto = lobatto * h
-    # bracket_quad's rho, where max(pa, 1) = pa
-    log_b = np.array([math.log(b) for b in pb.tolist()])
-    rho = (32.0 + 2.0 * log_b + 8.0 * pb / pa) * _U
+
+    def f(s):
+        return pw(s * lid + ca * pw(s, e), -t)
+
     pad = 3 * _U   # one accepted panel
-    lo = gauss * (1.0 - rho) * (1.0 - pad)
-    hi = lobatto * (1.0 + rho) * (1.0 + pad)
-    for i in np.flatnonzero(~(lobatto - gauss <= REL_WIDTH * gauss)).tolist():
-        j = first + i
-        lo[i], hi[i] = quad_psi_negt(j - 1.0, float(j), lid, ca, p, t)
+    lo, hi = [], []
+    pb = first - 1.0
+    f_b = f(pb)
+    for j in range(first, first + count):
+        pa, pb = pb, float(j)
+        f_a, f_b = f_b, f(pb)
+        gauss, lobatto = _rules(f, pa, pb, f_a, f_b)
+        if lobatto - gauss <= REL_WIDTH * gauss:
+            rho = _rho(pa, pb)
+            lo.append(gauss * (1.0 - rho) * (1.0 - pad))
+            hi.append(lobatto * (1.0 + rho) * (1.0 + pad))
+        else:
+            a, b = quad_psi_negt(pa, pb, lid, ca, p, t)
+            lo.append(a)
+            hi.append(b)
     return lo, hi
 
 
-def pow_sums(n: int, e: float):
-    """Prefix sums S_k = sum_{j<=k} j^e for k = 1..n (list of length n)."""
+def pow_sums(n: int, e: float, done: int = 0, s: float = 0.0):
+    """Prefix sums S_k = sum_{j<=k} j^e for k = done+1..done+n (a list of
+    length n), continuing from s = S_done.  The sum is sequential, so a
+    list extended this way holds the floats of one computed from k = 1."""
     out = []
-    s = 0.0
-    for j in range(1, n + 1):
+    for j in range(done + 1, done + n + 1):
         s += math.pow(float(j), e)
         out.append(s)
     return out

@@ -11,22 +11,52 @@ certificate layer applies its own relative guard band on top.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 _INF = math.inf
+
+# bit patterns of 2^-1022, the smallest positive normal double, and of 2^1023
+_NORMAL_BITS = 1 << 52
+_HUGE_BITS = 0x7FE << 52
 
 # every operation pads each endpoint outward by 2 ulps, which covers the
 # <= 1 ulp error of +,-,*,/ and of libm exp/pow with room to spare
 
 
-def _down(x: float) -> float:
+def down(x: float) -> float:
+    """x two ulps down, as every operation pads a lower end."""
     return math.nextafter(math.nextafter(x, -_INF), -_INF)
 
 
-def _up(x: float) -> float:
+def up(x: float) -> float:
+    """x two ulps up, as every operation pads an upper end."""
     return math.nextafter(math.nextafter(x, _INF), _INF)
+
+
+def ulps_out(x: float, n: int) -> tuple:
+    """x moved n ulps down and n ulps up."""
+    lo = hi = x
+    for _ in range(n):
+        lo = math.nextafter(lo, -_INF)
+        hi = math.nextafter(hi, _INF)
+    return lo, hi
+
+
+def ulps_out_all(xs: list, n: int) -> tuple:
+    """ulps_out of each float in xs, 0 <= n < 2^52, as two lists (lo, hi).
+
+    Positive doubles are ordered like their bit patterns read as integers,
+    one apart per ulp.  So when every x lies in [2^-1022, 2^1023], where
+    no move of n ulps leaves the positive finite range, a move is n added
+    to or taken from the pattern, over the whole list at once.
+    """
+    bits = array("q", array("d", xs).tobytes())
+    if not (bits and _NORMAL_BITS <= min(bits) and max(bits) <= _HUGE_BITS):
+        ends = [ulps_out(x, n) for x in xs]
+        return [lo for lo, _ in ends], [hi for _, hi in ends]
+    return (array("d", array("q", [b - n for b in bits]).tobytes()).tolist(),
+            array("d", array("q", [b + n for b in bits]).tobytes()).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,16 +83,12 @@ class Enclosure:
     def from_midrad(cls, mid: float, rad: float) -> "Enclosure":
         if rad < 0.0:
             raise ValueError("negative radius")
-        return cls(_down(mid - rad), _up(mid + rad))
+        return cls(down(mid - rad), up(mid + rad))
 
     @classmethod
     def from_libm(cls, v: float, ulps: int = 4) -> "Enclosure":
         # for a point value computed through a short libm chain
-        lo = hi = float(v)
-        for _ in range(ulps):
-            lo = math.nextafter(lo, -_INF)
-            hi = math.nextafter(hi, _INF)
-        return cls(lo, hi)
+        return cls(*ulps_out(float(v), ulps))
 
     # -- queries -----------------------------------------------------------
 
@@ -105,17 +131,17 @@ class Enclosure:
 
     def __add__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
-            return Enclosure(_down(self.lo + other.lo), _up(self.hi + other.hi))
+            return Enclosure(down(self.lo + other.lo), up(self.hi + other.hi))
         o = float(other)
-        return Enclosure(_down(self.lo + o), _up(self.hi + o))
+        return Enclosure(down(self.lo + o), up(self.hi + o))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Enclosure":
         if isinstance(other, Enclosure):
-            return Enclosure(_down(self.lo - other.hi), _up(self.hi - other.lo))
+            return Enclosure(down(self.lo - other.hi), up(self.hi - other.lo))
         o = float(other)
-        return Enclosure(_down(self.lo - o), _up(self.hi - o))
+        return Enclosure(down(self.lo - o), up(self.hi - o))
 
     def __rsub__(self, other) -> "Enclosure":
         return (-self).__add__(other)
@@ -124,12 +150,12 @@ class Enclosure:
         if isinstance(other, Enclosure):
             cands = (self.lo * other.lo, self.lo * other.hi,
                      self.hi * other.lo, self.hi * other.hi)
-            return Enclosure(_down(min(cands)), _up(max(cands)))
+            return Enclosure(down(min(cands)), up(max(cands)))
         o = float(other)
         a, b = self.lo * o, self.hi * o
         if a > b:
             a, b = b, a
-        return Enclosure(_down(a), _up(b))
+        return Enclosure(down(a), up(b))
 
     __rmul__ = __mul__
 
@@ -139,22 +165,22 @@ class Enclosure:
                 raise ZeroDivisionError("division by enclosure containing zero")
             cands = (self.lo / other.lo, self.lo / other.hi,
                      self.hi / other.lo, self.hi / other.hi)
-            return Enclosure(_down(min(cands)), _up(max(cands)))
+            return Enclosure(down(min(cands)), up(max(cands)))
         o = float(other)
         if o == 0.0:
             raise ZeroDivisionError("division by zero scalar")
         a, b = self.lo / o, self.hi / o
         if a > b:
             a, b = b, a
-        return Enclosure(_down(a), _up(b))
+        return Enclosure(down(a), up(b))
 
     def exp(self) -> "Enclosure":
-        return Enclosure(_down(math.exp(self.lo)), _up(math.exp(self.hi)))
+        return Enclosure(down(math.exp(self.lo)), up(math.exp(self.hi)))
 
     def widen(self, delta: float) -> "Enclosure":
         if delta < 0.0:
             raise ValueError("negative widening")
-        return Enclosure(_down(self.lo - delta), _up(self.hi + delta))
+        return Enclosure(down(self.lo - delta), up(self.hi + delta))
 
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -198,39 +224,53 @@ class ComplexEnclosure:
         """Enclosure of |z| over the box."""
         lo = math.hypot(self.re.abs_lo, self.im.abs_lo)
         hi = math.hypot(self.re.abs_hi, self.im.abs_hi)
-        return Enclosure(_down(max(0.0, lo)), _up(hi))
+        return Enclosure(down(max(0.0, lo)), up(hi))
 
 
-# -- the same operations over arrays of ends ---------------------------------
-# Each gives, element by element, the floats of the Enclosure operation it
-# names: the arithmetic is numpy's correctly rounded + - * /, and the
-# outward steps are np.nextafter.
+# -- the same operations on a bare box ---------------------------------------
+# A box is the tuple (re_lo, re_hi, im_lo, im_hi) of a ComplexEnclosure's
+# ends.  Each function gives the floats of the ComplexEnclosure operation it
+# names without making an Enclosure: evaluation works on boxes and wraps only
+# its results.
 
 
-def down(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, -_INF), -_INF)
+def widen_box(box: tuple, delta: float) -> tuple:
+    """ComplexEnclosure.widen, for delta >= 0."""
+    re_lo, re_hi, im_lo, im_hi = box
+    nx = math.nextafter
+    return (nx(nx(re_lo - delta, -_INF), -_INF),
+            nx(nx(re_hi + delta, _INF), _INF),
+            nx(nx(im_lo - delta, -_INF), -_INF),
+            nx(nx(im_hi + delta, _INF), _INF))
 
 
-def up(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, _INF), _INF)
+def add_real_box(box: tuple, enc: Enclosure) -> tuple:
+    """box + ComplexEnclosure.from_real(enc)."""
+    re_lo, re_hi, im_lo, im_hi = box
+    return (down(re_lo + enc.lo), up(re_hi + enc.hi),
+            down(im_lo + 0.0), up(im_hi + 0.0))
 
 
-def widen_ends(lo: np.ndarray, hi: np.ndarray, delta) -> tuple:
-    """Enclosure.widen."""
-    return down(lo - delta), up(hi + delta)
+def div_box(box: tuple, den: Enclosure) -> tuple:
+    """ComplexEnclosure.div_real, for den > 0: of the four quotients that
+    Enclosure division compares, rounding being monotone, a lower end over
+    one end of den is the smallest and an upper end over one the largest."""
+    if not den.lo > 0.0:
+        raise ZeroDivisionError("division by an enclosure not above zero")
+    d_lo, d_hi = den.lo, den.hi
+    re_lo, re_hi, im_lo, im_hi = box
+    nx = math.nextafter
+    return (nx(nx(re_lo / (d_hi if re_lo >= 0.0 else d_lo), -_INF), -_INF),
+            nx(nx(re_hi / (d_lo if re_hi >= 0.0 else d_hi), _INF), _INF),
+            nx(nx(im_lo / (d_hi if im_lo >= 0.0 else d_lo), -_INF), -_INF),
+            nx(nx(im_hi / (d_lo if im_hi >= 0.0 else d_hi), _INF), _INF))
 
 
-def div_ends(lo: np.ndarray, hi: np.ndarray, den: Enclosure) -> tuple:
-    """Enclosure / Enclosure, by the same enclosure den."""
-    if den.lo <= 0.0 <= den.hi:
-        raise ZeroDivisionError("division by enclosure containing zero")
-    cands = (lo / den.lo, lo / den.hi, hi / den.lo, hi / den.hi)
-    return down(np.minimum.reduce(cands)), up(np.maximum.reduce(cands))
-
-
-def abs_ends(lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Enclosure.abs_lo and Enclosure.abs_hi."""
-    mag_lo, mag_hi = np.abs(lo), np.abs(hi)
-    return (np.where((lo <= 0.0) & (0.0 <= hi), 0.0,
-                     np.minimum(mag_lo, mag_hi)),
-            np.maximum(mag_lo, mag_hi))
+def abs_box(box: tuple) -> tuple:
+    """The ends of ComplexEnclosure.abs_bounds."""
+    re_lo, re_hi, im_lo, im_hi = box
+    a, b, c, d = abs(re_lo), abs(re_hi), abs(im_lo), abs(im_hi)
+    re_min = 0.0 if re_lo <= 0.0 <= re_hi else min(a, b)
+    im_min = 0.0 if im_lo <= 0.0 <= im_hi else min(c, d)
+    return (down(max(0.0, math.hypot(re_min, im_min))),
+            up(math.hypot(max(a, b), max(c, d))))

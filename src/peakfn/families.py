@@ -11,8 +11,8 @@ four barrier conditions for the constants it was made from:
 
 Points are offsets delta = y - x from the peak x (see DomainModel).  A
 family evaluates f_r at many (offset, radius) pairs in one call of its
-array hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one
-radius and one offset at a time.
+hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one radius
+and one admitted offset at a time.
 
 Two instances ship: a continuous piecewise family on [0,1] whose sup-norms
 genuinely grow like log^t(1/r), and a bounded holomorphic exponential
@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, FamilyAuditError, InvalidParameterError
 from .hypothesis import GUARD, Constants, rel_margin, strictly_less
@@ -132,7 +130,7 @@ class BarrierFamily:
     cap_floor: float  # condition (3) holds at r iff C log^t(1/r) >= cap_floor
     _make: Callable[[float], Barrier]
     _off_bound: Callable[[complex, float], float]
-    _values: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    _values: Callable[[list, list, list], list]
 
     def _in_range(self, log_inv_r: float) -> bool:
         return log_inv_r >= self.min_log_inv_r - 1e-12
@@ -145,20 +143,18 @@ class BarrierFamily:
                 f"got log(1/r) = {log_inv_r!r}")
         return self._make(float(log_inv_r))
 
-    def values(self, points: np.ndarray, which: np.ndarray,
-               log_inv_r: np.ndarray) -> np.ndarray:
-        """f_r(y) for many (point, radius) pairs: entry i of the complex
-        result is the barrier at log(1/r) = log_inv_r[i] evaluated at the
-        point whose offset from the peak is points[which[i]].  The offsets
-        must be ones the domain admits.
+    def values(self, points: list, which: list, log_inv_r: list) -> list:
+        """f_r(y) for many (point, radius) pairs: entry i of the list of
+        complex values is the barrier at log(1/r) = log_inv_r[i] evaluated
+        at the point whose offset from the peak is points[which[i]].
 
-        Logarithms of an offset's coordinates are taken once per point.
-        Every exp, log, pow and cmath.exp is a libm call per element, and
-        numpy does only correctly rounded arithmetic and exact operations,
-        so each entry does not depend on the other pairs of the call:
-        barrier(log_inv_r[i]) calls this hook with that one pair.  The radii must lie in the family's range, as
-        the schedule radii of a certified series do; barrier checks that
-        for a single radius.
+        Nothing is checked here: callers admit the offsets through the
+        domain first, as evaluate_many does, and the radii must lie in the
+        family's range, as the schedule radii of a certified series do.
+        barrier(log(1/r)) checks both for one radius and one offset at a
+        time.  Logarithms of an offset's coordinates are taken once per
+        point, and every exp, log, pow and cmath.exp is a libm call, so
+        each entry does not depend on the other pairs of the call.
         """
         return self._values(points, which, log_inv_r)
 
@@ -199,20 +195,12 @@ class BarrierFamily:
 # -- continuous piecewise family on [0, 1] ---------------------------------
 
 
-def _libm(fn, args: np.ndarray) -> np.ndarray:
-    """fn of each element, one libm call each: numpy's own exp and power
-    can differ from libm in the last bit."""
-    return np.fromiter(map(fn, args.tolist()), dtype=float, count=len(args))
-
-
-def _one_point(values, lir: float) -> Barrier:
-    """The barrier at one radius, as the family's array hook computes it."""
-    lirs = np.array([lir])
-    first = np.zeros(1, dtype=np.intp)
+def _one_point(values, domain: DomainModel, lir: float) -> Barrier:
+    """The barrier at one radius, as the family's hook computes it, at
+    offsets the domain admits."""
 
     def f(delta: complex) -> complex:
-        return complex(values(np.array([delta], dtype=complex), first,
-                              lirs)[0])
+        return values([domain.require(delta)], [0], [lir])[0]
 
     return Barrier(log_inv_r=lir, func=f)
 
@@ -244,29 +232,32 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
     two_over_gap = 2.0 / (1.0 - big_a)
 
     def values(points, which, lir):
-        y = points.real  # x = 0: the offset is the point
-        above = y > 0.0
-        log_y = np.zeros(len(y))
-        log_y[above] = _libm(math.log, y[above])
-        # w = log(y/r); segment tests stay in log space so underflowed
-        # radii still evaluate correctly
-        w = log_y[which] + lir
-        out = np.full(len(w), alpha)
-        peak = ~above[which]
-        out[peak] = 1.0
-        ball = ~peak & (w <= 0.0)
-        ramp = ball & (w <= log_a)
-        out[ramp] = 1.0 + 0.5 * _libm(math.exp, s * (w[ramp] - log_a))
-        tent = ball & ~ramp
-        if tent.any():
-            w_tent = w[tent]
-            ratio = _libm(math.exp, w_tent)  # y/r, in (A, 1]
-            cap = big_c * _libm(lambda v: math.pow(v, t), lir[tent])
-            up = (ratio - big_a) * two_over_gap
-            down = (ratio - (1.0 + big_a) / 2.0) * two_over_gap
-            out[tent] = np.where(w_tent <= w_mid, 1.5 + (cap - 1.5) * up,
-                                 cap + (alpha - cap) * down)
-        return out.astype(complex)
+        # x = 0: the offset is the point; None marks the peak
+        log_y = [math.log(d.real) if d.real > 0.0 else None for d in points]
+        ex, pw = math.exp, math.pow
+        out = []
+        for i, li in zip(which, lir):
+            ly = log_y[i]
+            if ly is None:
+                out.append(1.0 + 0.0j)
+                continue
+            # w = log(y/r); segment tests stay in log space so underflowed
+            # radii still evaluate correctly
+            w = ly + li
+            if w > 0.0:
+                v = alpha
+            elif w <= log_a:
+                v = 1.0 + 0.5 * ex(s * (w - log_a))
+            else:
+                ratio = ex(w)  # y/r, in (A, 1]
+                cap = big_c * pw(li, t)
+                if w <= w_mid:
+                    v = 1.5 + (cap - 1.5) * ((ratio - big_a) * two_over_gap)
+                else:
+                    v = cap + (alpha - cap) * (
+                        (ratio - (1.0 + big_a) / 2.0) * two_over_gap)
+            out.append(complex(v, 0.0))
+        return out
 
     def make(lir: float) -> Barrier:
         cap = big_c * math.pow(lir, t)
@@ -274,7 +265,7 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
             raise FamilyAuditError(
                 f"radius too large: C*log^t(1/r) = {cap!r} < 3/2 at "
                 f"log(1/r) = {lir!r}")
-        return _one_point(values, lir)
+        return _one_point(values, UNIT_INTERVAL, lir)
 
     return BarrierFamily(
         name="synthetic",
@@ -314,35 +305,31 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
     log_2_log_inv_alpha = math.log(2.0 * math.log(1.0 / alpha))
 
     def log_abs(v):
-        out = np.zeros(len(v))
-        nonzero = v != 0.0
-        out[nonzero] = _libm(math.log, np.abs(v[nonzero]))
-        return out
+        return math.log(abs(v)) if v != 0.0 else None
 
     def values(points, which, lir):
         # points are offsets delta = z - 1, Re delta <= 0 on the closed disk
-        dx, dy = points.real, points.imag
-        # exponent lambda*delta computed componentwise in log space;
-        # lambda itself can overflow for schedule radii
-        log_lam = log_2_log_inv_alpha + 2.0 * lir
-        lw = log_lam + log_abs(dx)[which]
-        real = dx[which] != 0.0
-        # past lw = 7 the modulus exp(-e^lw) underflows: f is 0
-        under = real & (lw > 7.0)
-        real &= ~under
-        wre = np.zeros(len(which))
-        wre[real] = -_libm(math.exp, lw[real])
-        y_im = dy[which]
-        imag = y_im != 0.0
-        wim = np.zeros(len(which))
-        wim[imag] = np.copysign(_libm(math.exp, np.minimum(
-            log_lam[imag] + log_abs(dy)[which][imag], 709.0)), y_im[imag])
-        out = np.zeros(len(which), dtype=complex)
-        live = ~under & (wre >= -745.0)
-        out[live] = np.fromiter(
-            map(cmath.exp, map(complex, wre[live].tolist(),
-                               wim[live].tolist())),
-            dtype=complex, count=np.count_nonzero(live))
+        logs = [(log_abs(d.real), log_abs(d.imag), d.imag) for d in points]
+        ex, cx, cs = math.exp, cmath.exp, math.copysign
+        out = []
+        for i, li in zip(which, lir):
+            lx, ly, dy = logs[i]
+            # exponent lambda*delta computed componentwise in log space;
+            # lambda itself can overflow for schedule radii
+            log_lam = log_2_log_inv_alpha + 2.0 * li
+            wre = 0.0
+            if lx is not None:
+                lw = log_lam + lx
+                # past lw = 7 the modulus exp(-e^lw) underflows: f is 0
+                if lw > 7.0:
+                    out.append(0j)
+                    continue
+                wre = -ex(lw)
+            if wre < -745.0:
+                out.append(0j)
+                continue
+            wim = 0.0 if ly is None else cs(ex(min(log_lam + ly, 709.0)), dy)
+            out.append(cx(complex(wre, wim)))
         return out
 
     def off_bound(delta: complex, lir: float) -> float:
@@ -364,7 +351,7 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
         exact_off_value=None,
         min_log_inv_r=math.log(1.0 / 0.2),
         cap_floor=1.0,
-        _make=lambda lir: _one_point(values, lir),
+        _make=lambda lir: _one_point(values, UNIT_DISK, lir),
         _off_bound=off_bound,
         _values=values,
     )
@@ -388,9 +375,9 @@ def family_by_name(name: str, consts) -> BarrierFamily:
 def _interval_audit_points(r: float, n: int) -> list[float]:
     # uniform coverage plus log refinement toward the peak plus the exact
     # segment seams of the synthetic family
-    pts = set(np.linspace(0.0, 1.0, n).tolist())
+    pts = set(_linspace(0.0, 1.0, n))
     lo = max(r * 1e-8, 1e-280)
-    pts.update(np.geomspace(lo, 1.0, n).tolist())
+    pts.update(_geomspace(lo, 1.0, n))
     for seam in (0.25 * r, 0.5 * r, 0.75 * r, r, 1.5 * r, 2.0 * r):
         if 0.0 < seam <= 1.0:
             pts.add(seam)
@@ -416,17 +403,17 @@ def _ball_probe_points(domain: DomainModel, radius: float) -> list[complex]:
     if radius <= 0.0:
         return []
     out: list[complex] = []
-    dists = np.geomspace(max(radius * 1e-6, 1e-280), radius * (1.0 - 1e-9), 8)
+    dists = _geomspace(max(radius * 1e-6, 1e-280), radius * (1.0 - 1e-9), 8)
     if domain.dimension == 1:
         for d in dists:
-            y = complex(float(d), 0.0)
+            y = complex(d, 0.0)
             if domain.contains(y):
                 out.append(y)
     else:
         # the closed disk lies on one side of its tangent at the peak
         for d in dists:
             for phi in (-0.25 * math.pi, 0.0, 0.25 * math.pi):
-                delta = -(float(d) * cmath.exp(complex(0.0, phi)))
+                delta = -(d * cmath.exp(complex(0.0, phi)))
                 if domain.contains(delta):
                     out.append(delta)
     return out
@@ -484,10 +471,9 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
         })
 
     def moduli(points, lir):
-        # |f_r| at each offset, from one call of the array hook
-        vals = fam.values(np.array(points, dtype=complex),
-                          np.arange(len(points)), np.full(len(points), lir))
-        return list(map(abs, vals.tolist()))
+        # |f_r| at each offset, from one call of the hook
+        n = len(points)
+        return list(map(abs, fam.values(points, range(n), [lir] * n)))
 
     for r in radii:
         r = float(r)
@@ -543,15 +529,43 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
 # -- evaluation grids --------------------------------------------------------
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """count evenly spaced floats from lo to hi, both ends included, with
+    numpy.linspace's arithmetic: lo + i*step, or lo + (i/(count-1))*(hi-lo)
+    where the step underflows to 0."""
+    div = count - 1
+    if div < 1:
+        return [lo] * count
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        pts = [lo + i / div * delta for i in range(div)]
+    else:
+        pts = [lo + i * step for i in range(div)]
+    return pts + [hi]
+
+
+def _geomspace(lo: float, hi: float, count: int) -> list[float]:
+    """count log-spaced floats from lo to hi > 0, both ends included:
+    10^e_i from libm, e_i = _linspace(log10 lo, log10 hi, count)."""
+    inner = [math.pow(10.0, e) for e in
+             _linspace(math.log10(lo), math.log10(hi), count)[1:-1]]
+    return ([lo] + inner + [hi])[:count]
+
+
 def make_grid(fam: BarrierFamily, kind: str, lo: float, hi: float,
               count: int) -> list[complex]:
     """Deterministic evaluation grid approaching the peak, as offsets
     delta = y - x from it.
 
     Grid points are parameterized by distance d to the peak, spaced log or
-    linear on [lo, hi].  On the interval the offset at distance d is d
-    itself; on the disk each distance shell carries the offsets
-    -d*exp(i*phi) at eight angles phi that the domain's exact test admits.
+    linear on [lo, hi], both ends included.  A linear grid is lo + i*step,
+    step = (hi - lo)/(count - 1), as numpy.linspace computes it; a log grid
+    is libm's pow(10, e_i) for e_i on the linear grid from log10(lo) to
+    log10(hi), so it depends on libm alone.  On the interval the offset at
+    distance d is d itself; on the disk each distance shell carries the
+    offsets -d*exp(i*phi) at eight angles phi that the domain's exact test
+    admits.
     No offset is emitted twice.  The floor protects the certified regime:
     distances below 1e-30 are out of scope.
     """
@@ -567,17 +581,13 @@ def make_grid(fam: BarrierFamily, kind: str, lo: float, hi: float,
     if hi > fam.domain.diameter:
         raise InvalidParameterError(
             f"grid hi {hi!r} exceeds the domain diameter {fam.domain.diameter!r}")
+    spaced = _geomspace if kind == "log" else _linspace
     if fam.domain.dimension == 1:
-        dists = (np.geomspace(lo, hi, count) if kind == "log"
-                 else np.linspace(lo, hi, count))
-        pts = [complex(float(d), 0.0) for d in dists]
+        pts = [complex(d, 0.0) for d in spaced(lo, hi, count)]
     else:
-        n_shell = max(1, count // 8)
-        dists = (np.geomspace(lo, hi, n_shell) if kind == "log"
-                 else np.linspace(lo, hi, n_shell))
         turns = [cmath.exp(complex(0.0, _TWO_PI * jj / 8.0)) for jj in range(8)]
         pts = []
-        for d in dists.tolist():
+        for d in spaced(lo, hi, max(1, count // 8)):
             for turn in turns:
                 delta = -(d * turn)
                 if fam.domain.contains(delta):

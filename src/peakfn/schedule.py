@@ -37,11 +37,12 @@ class Schedule:
 
     @staticmethod
     def _grown(sums: list[float], k: int, e: float) -> list[float]:
-        """Prefix sums of j^e holding at least k terms."""
-        if k <= len(sums):
-            return sums
-        # recomputing the full prefix gives the same floats as extending
-        return _kernels.pow_sums(max(k, 2 * len(sums), 16), e)
+        """Prefix sums of j^e holding at least k terms, extended in place."""
+        done = len(sums)
+        if k > done:
+            sums += _kernels.pow_sums(max(k, 2 * done, 16) - done, e, done,
+                                      sums[-1] if sums else 0.0)
+        return sums
 
     def _ensure_psums(self, k: int) -> None:
         self._psums = self._grown(self._psums, k, self._p - 1.0)

@@ -10,16 +10,17 @@ families.DomainModel); reports print x + delta rounded to binary64.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator
 
-import numpy as np
-
 from . import certificates, families
-from .enclosure import (ComplexEnclosure, Enclosure, abs_ends, div_ends,
-                        down, up, widen_ends)
+from .enclosure import (ComplexEnclosure, Enclosure, abs_box, add_real_box,
+                        div_box, widen_box)
 from .errors import (BuildRefusedError, ConfigError, DomainError,
                      FamilyAuditError)
 from .hypothesis import (GUARD, Constants, HypothesisConstants, derive_k,
@@ -36,8 +37,9 @@ BARRIER_EVAL_REL = 1e-12
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1074
 
-# (point, j) pairs evaluated in one array pass of evaluate_many: bounds the
-# memory a batch holds, whatever the size of the grid
+# (point, j) pairs evaluated in one call of the family hook by
+# evaluate_many: bounds the memory a batch holds, whatever the size of the
+# grid
 BATCH_PAIRS = 2048
 
 
@@ -74,21 +76,22 @@ class PeakSeries:
     log_inv_eps: list           # float, j = 1..N
     engine: WeightEngine = field(repr=False)
     # derived from the fields above, so dataclasses.replace recomputes them
-    sigma_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    sigma_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    thresholds: np.ndarray = field(          # 1 + eps_j^s, j = 1..N
+    sigma_lo: list = field(init=False, repr=False, compare=False)
+    sigma_hi: list = field(init=False, repr=False, compare=False)
+    thresholds: list = field(                # 1 + eps_j^s, j = 1..N
         init=False, repr=False, compare=False)
-    _lirs: np.ndarray = field(init=False, repr=False, compare=False)
+    _sigma_mag: list = field(                # max |end| of each sigma_j
+        init=False, repr=False, compare=False)
     # _mass_after(k) by k, filled on first use
     _masses: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
-        self.sigma_lo = np.array([e.lo for e in self.sigma_head])
-        self.sigma_hi = np.array([e.hi for e in self.sigma_head])
-        self.thresholds = np.array([1.0 + math.exp(-self.consts.s * lie)
-                                    for lie in self.log_inv_eps])
-        self._lirs = np.array(self.log_inv_r, dtype=float)
+        self.sigma_lo = [e.lo for e in self.sigma_head]
+        self.sigma_hi = [e.hi for e in self.sigma_head]
+        self.thresholds = [1.0 + math.exp(-self.consts.s * lie)
+                           for lie in self.log_inv_eps]
+        self._sigma_mag = [max(abs(e.lo), abs(e.hi)) for e in self.sigma_head]
 
     def split_index(self, delta: complex) -> int:
         """Smallest m with r_m <= |delta|, delta = y - x, as
@@ -123,9 +126,8 @@ class PeakSeries:
 
         The points go in batches of at most BATCH_PAIRS (point, j) pairs
         (a point that needs more is a batch of its own).  A batch takes
-        every f_j(y) from one call of the family's array hook and does the
-        rest over flat float arrays, with fsum per point; the floats are
-        those of one point evaluated at a time with Enclosure arithmetic.
+        every f_j(y) from one call of the family's hook; the rest works on
+        bare float ends per point, with the floats of Enclosure arithmetic.
         """
         return self._evaluate_admitted(
             [self.family.domain.require(y) for y in points])
@@ -152,69 +154,71 @@ class PeakSeries:
             yield from self._evaluate_batch(batch)
 
     def _evaluate_batch(self, batch: list) -> list[EvalResult]:
-        """evaluate_many over (delta, m(y), k(y), phi) tuples.  Pair i of
-        the flat arrays is f_{j_i + 1} at point which_i; the box around the
-        numerator is the arrays lo and hi, real parts in row 0 and
-        imaginary parts in row 1."""
+        """evaluate_many over (delta, m(y), k(y), phi) tuples: f_1..f_k at
+        every point from one call of the family hook, then each point's
+        box around the numerator as the ends (re_lo, re_hi, im_lo, im_hi)
+        of its real and imaginary parts."""
         n, consts = self.n_terms, self.consts
-        counts = np.array([k for _, _, k, _ in batch])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        which = np.repeat(np.arange(len(batch)), counts)
-        j = np.arange(ends[-1]) - starts[which]
-        vals = self.family.values(
-            np.array([delta for delta, _, _, _ in batch], dtype=complex),
-            which, self._lirs[j])
-        sig_lo, sig_hi = self.sigma_lo[j], self.sigma_hi[j]
-        # hypot of the parts is what abs() of a Python complex computes;
-        # np.abs of a complex array can differ from it in the last bit
-        mods = np.hypot(vals.real, vals.imag)
-        segments = list(zip(starts.tolist(), ends.tolist()))
-        re = _dots(sig_lo, sig_hi, vals.real, segments)
-        im = _dots(sig_lo, sig_hi, vals.imag, segments)
-        pad_terms = sig_hi * mods * BARRIER_EVAL_REL
-        pad = np.array([_sum_up(pad_terms[a:b].tolist())
-                        for a, b in segments])
-        lo, hi = widen_ends(np.array([re[0], im[0]]),
-                            np.array([re[1], im[1]]), pad)
-        # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s.  The
-        # thresholds do not increase, so |f_i| first lifts the running
-        # maximum past a threshold at the first j >= i whose threshold it
-        # clears.  Past k every |f_j| <= phi <= alpha < 1 + eps_j^s, so the
-        # earliest such j over f_1..f_k is the first W_j holding y; N + 1
-        # stands for none
-        clears = np.searchsorted(-self.thresholds, -mods)
-        member = np.minimum.reduceat(np.maximum(clears, j), starts) + 1
-        lowest = np.minimum.reduceat(mods, starts)
+        which, lirs = [], []
+        for i, (_, _, k, _) in enumerate(batch):
+            which += [i] * k
+            lirs += self.log_inv_r[:k]
+        vals = self.family.values([delta for delta, _, _, _ in batch],
+                                  which, lirs)
+        mul = operator.mul
+        thresholds = self.thresholds
         alpha_tol = consts.alpha + GUARD * max(1.0, consts.alpha)
         off = self.family.exact_off_value
         ratio = consts.C / consts.M
-        cases = []
-        # per point: the ceiling past the head (0 where m <= N + 1); the
-        # far tail, added as (tail, 0) at the peak and where the family
-        # has an exact off value; else the charge that widens the box
-        ceiling = np.zeros(len(batch))
-        add_lo, add_hi = np.zeros((2, len(batch))), np.zeros((2, len(batch)))
-        charge = np.zeros(len(batch))
-        for i, (_, m, k, phi) in enumerate(batch):
-            member_m = int(member[i])
-            if m == 0:
-                cases.append(None)
-            elif member_m <= n:
-                cases.append(CaseLabel(
-                    "in-W1" if member_m == 1 else "in-Wm-not-before",
-                    member_m))
-            elif k < n or lowest[i] <= alpha_tol:
-                cases.append(CaseLabel("outside-all-W"))
+        out = []
+        start = 0
+        for delta, m, k, phi in batch:
+            f = vals[start:start + k]
+            start += k
+            sig_lo, sig_hi = self.sigma_lo[:k], self.sigma_hi[:k]
+            sig_mag = self._sigma_mag[:k]
+            # abs of a Python complex is libm's hypot of its parts
+            point_mods = list(map(abs, f))
+            box = (_dot(sig_lo, sig_hi, sig_mag, [v.real for v in f])
+                   + _dot(sig_lo, sig_hi, sig_mag, [v.imag for v in f]))
+            # y is in W_m iff max_{j<=m} |f_j(y)| >= 1 + eps_m^s: the
+            # first j where the running maximum clears its threshold.
+            # Past k every |f_j| <= phi <= alpha < 1 + eps_j^s, so the
+            # running maximum stays top; the thresholds do not increase,
+            # so the first j past k that top clears is found by bisection.
+            # N + 1 stands for none
+            top = 0.0
+            for j, mod in enumerate(point_mods):
+                if mod > top:
+                    top = mod
+                if top >= thresholds[j]:
+                    member = j + 1
+                    break
             else:
-                cases.append(CaseLabel("head-exhausted"))
+                member = 1 + bisect.bisect_left(thresholds, -top, k,
+                                                key=operator.neg)
+            if m == 0:
+                case = None
+            elif member <= n:
+                case = CaseLabel(
+                    "in-W1" if member == 1 else "in-Wm-not-before", member)
+            elif k < n or min(point_mods) <= alpha_tol:
+                case = CaseLabel("outside-all-W")
+            else:
+                case = CaseLabel("head-exhausted")
+            # the box is widened by the barrier pad, then by the ceiling
+            # past the head; the far tail is added as (tail, 0) at the
+            # peak, where every f_j is 1 by condition (1), and where the
+            # family has an exact off value, and else widens it too
+            box = widen_box(box, _sum_up(map(
+                mul, map(mul, sig_hi, point_mods), repeat(BARRIER_EVAL_REL))))
             if m > n + 1:
                 # indices past the head but before the split: on-ball
                 # ceiling C log^t(1/r_j) <= C psi(j)^t, and
                 # sigma_j C psi^t = (C/M) g(j)
                 self.engine.reserve(m)
-                ceiling[i] = _sum_up([ratio * self.engine.g(jj).hi
-                                      for jj in range(n + 1, m)])
+                box = widen_box(box, _sum_up([ratio * self.engine.g(jj).hi
+                                              for jj in range(n + 1, m)]))
             if k < n:
                 far_tail = self._mass_after(k)
             elif m <= n + 1:
@@ -222,46 +226,30 @@ class PeakSeries:
             else:
                 far_tail = self.engine.tail(m - 1)
             if m == 0:
-                # every f_j is 1 at the peak by condition (1)
-                add_lo[0, i], add_hi[0, i] = far_tail.lo, far_tail.hi
+                box = add_real_box(box, far_tail)
             elif off is not None:
-                far_tail = far_tail * off
-                add_lo[0, i], add_hi[0, i] = far_tail.lo, far_tail.hi
+                box = add_real_box(box, far_tail * off)
             elif k < n:
                 bound = phi * far_tail.hi
-                charge[i] = _sum_up([bound, bound * BARRIER_EVAL_REL])
+                box = widen_box(box, _sum_up([bound,
+                                              bound * BARRIER_EVAL_REL]))
             else:
-                charge[i] = consts.alpha * far_tail.hi
-        beyond = np.array([m > n + 1 for _, m, _, _ in batch])
-        widened = widen_ends(lo, hi, ceiling)
-        lo = np.where(beyond, widened[0], lo)
-        hi = np.where(beyond, widened[1], hi)
-        added = np.array([m == 0 or off is not None for _, m, _, _ in batch])
-        widened = widen_ends(lo, hi, charge)
-        lo = np.where(added, down(lo + add_lo), widened[0])
-        hi = np.where(added, up(hi + add_hi), widened[1])
-        lo, hi = div_ends(lo, hi, self.normalizer)
-        mag_lo, mag_hi = abs_ends(lo, hi)
-        abs_lo = down(np.maximum(0.0, list(map(math.hypot,
-                                               *mag_lo.tolist()))))
-        abs_hi = up(np.array(list(map(math.hypot, *mag_hi.tolist()))))
-        return [EvalResult(point=delta, m_of_y=m,
-                           F=ComplexEnclosure(Enclosure(rl, rh),
-                                              Enclosure(il, ih)),
-                           abs_F=Enclosure(al, ah), case=case)
-                for (delta, m, _, _), rl, il, rh, ih, al, ah, case in zip(
-                    batch, *lo.tolist(), *hi.tolist(), abs_lo.tolist(),
-                    abs_hi.tolist(), cases)]
+                box = widen_box(box, consts.alpha * far_tail.hi)
+            re_lo, re_hi, im_lo, im_hi = box = div_box(box, self.normalizer)
+            out.append(EvalResult(
+                point=delta, m_of_y=m,
+                F=ComplexEnclosure(Enclosure(re_lo, re_hi),
+                                   Enclosure(im_lo, im_hi)),
+                abs_F=Enclosure(*abs_box(box)), case=case))
+        return out
 
     def _mass_after(self, k: int) -> Enclosure:
         """Enclosure of sum_{j>k} sigma_j over the head and its tail, each
         end one fsum rounded outward; cached per k."""
         mass = self._masses.get(k)
         if mass is None:
-            lo = math.fsum(self.sigma_lo[k:].tolist()
-                           + [self.tail_after_head.lo])
-            hi = _sum_up(self.sigma_hi[k:].tolist()
-                         + [self.tail_after_head.hi])
+            lo = math.fsum(self.sigma_lo[k:] + [self.tail_after_head.lo])
+            hi = _sum_up(self.sigma_hi[k:] + [self.tail_after_head.hi])
             mass = self._masses[k] = Enclosure(
                 math.nextafter(lo, -math.inf), hi)
         return mass
@@ -376,10 +364,9 @@ def _sum_up(terms) -> float:
     return math.nextafter(math.fsum(terms), math.inf)
 
 
-def _dots(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray,
-          segments: list) -> tuple:
-    """Ends of the enclosures of sum_j [lo_j, hi_j] * vals_j, j in [a, b),
-    for each segment (a, b) of the float arrays.
+def _dot(lo: list, hi: list, mag: list, vals: list) -> tuple:
+    """Ends of the enclosure of sum_j [lo_j, hi_j] * vals_j, given
+    mag_j = max(|lo_j|, |hi_j|).
 
     Each product takes the endpoint that makes it smallest (for the lower
     sum) or largest (for the upper) at the sign of vals_j.  A product
@@ -390,18 +377,21 @@ def _dots(lo: np.ndarray, hi: np.ndarray, vals: np.ndarray,
     exact one, and the radius 3u sum_j |p_j| + 2^-1074 per nonzero value,
     with sum_j |p_j| summed up and the radius rounded up, covers it
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3).
+    Rounding is monotone and odd, so the larger |p_j| is mag_j |vals_j|
+    rounded.
     """
-    pos = vals >= 0.0
-    p_lo = np.where(pos, lo, hi) * vals
-    p_hi = np.where(pos, hi, lo) * vals
-    mags = np.maximum(np.abs(p_lo), np.abs(p_hi))
-    mag = np.array([_sum_up(mags[a:b].tolist()) for a, b in segments])
-    nonzero = np.add.reduceat((vals != 0.0).astype(np.intp),
-                              [a for a, _ in segments])
-    rad = np.nextafter(3.0 * _U * mag + _TINY * nonzero, math.inf)
-    return widen_ends(
-        np.array([math.fsum(p_lo[a:b].tolist()) for a, b in segments]),
-        np.array([math.fsum(p_hi[a:b].tolist()) for a, b in segments]), rad)
+    nx, inf = math.nextafter, math.inf
+    if any(vals):
+        p_lo, p_hi = zip(*[(x * v, y * v) if v >= 0.0 else (y * v, x * v)
+                           for x, y, v in zip(lo, hi, vals)])
+        lo_sum, hi_sum = math.fsum(p_lo), math.fsum(p_hi)
+        mag_sum = _sum_up(map(operator.mul, mag, map(abs, vals)))
+    else:
+        # every product is a zero, and fsum of zeros is +0.0
+        lo_sum = hi_sum = 0.0
+        mag_sum = nx(0.0, inf)
+    rad = nx(3.0 * _U * mag_sum + _TINY * (len(vals) - vals.count(0.0)), inf)
+    return nx(nx(lo_sum - rad, -inf), -inf), nx(nx(hi_sum + rad, inf), inf)
 
 
 def _point_repr(z: complex):

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import _kernels
-from .enclosure import ZERO, Enclosure
+from .enclosure import ZERO, Enclosure, down, ulps_out_all, up
 from .errors import DomainError, InvalidParameterError
 from .hypothesis import GUARD, Constants, strictly_less
 from .schedule import Schedule
@@ -27,21 +25,12 @@ UNIT_CACHE_CAP = 20_000
 A2_ULPS = 16
 
 
-def _down(x: np.ndarray) -> np.ndarray:
-    """Two ulps down, as Enclosure pads each lower end."""
-    return np.nextafter(np.nextafter(x, -math.inf), -math.inf)
-
-
-def _up(x: np.ndarray) -> np.ndarray:
-    return np.nextafter(np.nextafter(x, math.inf), math.inf)
-
-
 class WeightEngine:
     """Cached enclosures of I, g, sigma and their prefix sums and tails.
 
     The caches hold the lower and upper ends as float lists, for j = 0..n
     (I and g) or 1..n (sigma), n the largest index asked for so far.
-    reserve grows them in one batch over float arrays, with the very
+    reserve grows them in one pass over bare float ends, with the very
     floats the Enclosure arithmetic gives index by index; the public
     methods wrap the ends they return in an Enclosure.
 
@@ -89,7 +78,7 @@ class WeightEngine:
                 j0, min(n, cap) - j0 + 1, self._lid, self._ca,
                 self.consts.p, self.consts.t)
             # the running sums stay sequential, each step rounded outward
-            for a, b in zip(q_lo.tolist(), q_hi.tolist()):
+            for a, b in zip(q_lo, q_hi):
                 lo = nx(nx(lo + a, -inf), -inf)
                 hi = nx(nx(hi + b, inf), inf)
                 out_lo.append(lo)
@@ -105,42 +94,40 @@ class WeightEngine:
     def reserve(self, n: int) -> None:
         """Fill the caches of I, g, sigma and the prefix sums up to j = n.
 
-        One batch: sigma_j = g(j) / (M psi(j)^t) with g = exp(-k I) runs
-        over float arrays in the order Enclosure's operators take, each end
-        rounded two ulps outward per operation and psi(j)^t eight, and
-        every exp and pow a libm call.
+        One pass: sigma_j = g(j) / (M psi(j)^t) with g = exp(-k I) runs
+        over bare float ends in the order Enclosure's operators take, each
+        end rounded two ulps outward per operation and psi(j)^t eight, and
+        every exp and pow a libm call.  Where Enclosure picks the smallest
+        and largest of its products and quotients, the order is known, as
+        rounding is monotone: I.lo <= I.hi times -k < 0, the psi^t ends
+        times M > 0, and g's ends over the ends of M psi^t > 0, of which
+        only g's upper end is sure to be positive.
         """
         done = len(self._sig_lo)
         if n <= done:
             return
         i_lo, i_hi = self._integer_i(done + 1, n)
-        lo, hi = np.array(i_lo), np.array(i_hi)
-        # I * (-k), then exp
-        neg_k = -self.consts.k
-        a, b = lo * neg_k, hi * neg_k
-        ex = math.exp
-        u_lo, u_hi = _down(np.minimum(a, b)), _up(np.maximum(a, b))
-        g_lo = _down(np.array([ex(v) for v in u_lo.tolist()]))
-        g_hi = _up(np.array([ex(v) for v in u_hi.tolist()]))
-        # psi(j)^t padded by 8 ulps, then times M
-        psi, pw = _kernels.psi_val, math.pow
-        lid, ca, p, t = self._lid, self._ca, self.consts.p, self.consts.t
-        psit = np.array([pw(psi(float(j), lid, ca, p), t)
-                         for j in range(done + 1, n + 1)])
-        p_lo, p_hi = psit, psit
-        for _ in range(8):
-            p_lo = np.nextafter(p_lo, -math.inf)
-            p_hi = np.nextafter(p_hi, math.inf)
-        m_const = self.consts.M
-        a, b = p_lo * m_const, p_hi * m_const
-        d_lo, d_hi = _down(np.minimum(a, b)), _up(np.maximum(a, b))
-        quot = (g_lo / d_lo, g_lo / d_hi, g_hi / d_lo, g_hi / d_hi)
-        s_lo = _down(np.minimum.reduce(quot)).tolist()
-        s_hi = _up(np.maximum.reduce(quot)).tolist()
+        ex, pw = math.exp, math.pow
+        neg_k, m_const = -self.consts.k, self.consts.M
+        lid, ca, t = self._lid, self._ca, self.consts.t
+        e = 1.0 + self.consts.p
+        # psi(j)^t, j >= 1, where psi is not clamped
+        p_lo, p_hi = ulps_out_all(
+            [pw(j * lid + ca * pw(float(j), e), t)
+             for j in range(done + 1, n + 1)], 8)
+        g_lo, g_hi, s_lo, s_hi = [], [], [], []
+        for lo, hi, plo, phi in zip(i_lo, i_hi, p_lo, p_hi):
+            glo = down(ex(down(hi * neg_k)))
+            ghi = up(ex(up(lo * neg_k)))
+            dlo, dhi = down(plo * m_const), up(phi * m_const)
+            g_lo.append(glo)
+            g_hi.append(ghi)
+            s_lo.append(down(glo / (dhi if glo >= 0.0 else dlo)))
+            s_hi.append(up(ghi / dlo))
         self._i_lo += i_lo
         self._i_hi += i_hi
-        self._g_lo += g_lo.tolist()
-        self._g_hi += g_hi.tolist()
+        self._g_lo += g_lo
+        self._g_hi += g_hi
         self._sig_lo += s_lo
         self._sig_hi += s_hi
         nx, inf = math.nextafter, math.inf

@@ -239,6 +239,29 @@ def test_import_leaves_argparse_out():
     assert proc.stdout == "[]\n"
 
 
+def test_stages_run_without_numpy(cfg_path, tmp_path):
+    # numpy's import was about half of a cold start; the package does not
+    # depend on it, so neither the import nor params, build and verify
+    # (quadrature, weights, grids and evaluation) may load it
+    src = str(Path(peakfn.__file__).resolve().parents[1])
+    series_path = tmp_path / "series.json"
+    code = (
+        "import sys, peakfn.cli\n"
+        "main = peakfn.cli.main\n"
+        f"cfg, ser, out = {str(cfg_path)!r}, {str(series_path)!r}, "
+        f"{str(tmp_path / 'out')!r}\n"
+        "codes = [main(['params', '--config', cfg, '--out', out]),\n"
+        "         main(['build', '--config', cfg, '--terms', '100',\n"
+        "               '--series', ser, '--out', out]),\n"
+        "         main(['verify', '--config', cfg, '--series', ser,\n"
+        "               '--grid', 'log:1e-30:1.0:100', '--out', out])]\n"
+        "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] False\n"
+
+
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     base = tmp_path_factory.mktemp("pipeline")

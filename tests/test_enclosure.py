@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakfn.enclosure import (ComplexEnclosure, Enclosure, abs_ends,
-                              div_ends, down, up, widen_ends)
+from peakfn.enclosure import (ComplexEnclosure, Enclosure, abs_box,
+                              add_real_box, div_box, ulps_out, ulps_out_all,
+                              widen_box)
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -142,32 +143,62 @@ def test_complex_div_real():
     assert q.im.contains(1.0)
 
 
-def test_array_ends_equal_the_enclosure_operations():
-    # the array forms give, element by element, the floats of the
-    # Enclosure operations they name, zeros, subnormals and signs included
+def test_box_operations_equal_the_enclosure_operations():
+    # the box forms give the floats of the ComplexEnclosure operations
+    # they name, zeros, subnormals and signs included
     rng = np.random.default_rng(3)
     n = 4000
-    mags = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 60, n))
-    a = mags * rng.choice([-1.0, 1.0], n)
-    b = a + np.abs(a) * rng.choice([0.0, 1e-16, 0.5, 3.0], n)
-    a[:8] = [0.0, -0.0, 0.0, -5e-324, 5e-324, -1.0, 0.0, -2.0]
-    b[:8] = [0.0, 0.0, 5e-324, 0.0, 1.0, -1.0, 2.0, -0.0]
-    delta = np.abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-300, 1.0], n)
+
+    def ends():
+        mags = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 60, n))
+        a = mags * rng.choice([-1.0, 1.0], n)
+        b = a + np.abs(a) * rng.choice([0.0, 1e-16, 0.5, 3.0], n)
+        a[:8] = [0.0, -0.0, 0.0, -5e-324, 5e-324, -1.0, 0.0, -2.0]
+        b[:8] = [0.0, 0.0, 5e-324, 0.0, 1.0, -1.0, 2.0, -0.0]
+        return a.tolist(), b.tolist()
+
+    (re_lo, re_hi), (im_lo, im_hi) = ends(), ends()
+    im_lo, im_hi = im_lo[::-1], im_hi[::-1]
+    delta = (np.abs(rng.standard_normal(n))
+             * rng.choice([0.0, 1e-300, 1.0], n)).tolist()
+    boxes = list(zip(re_lo, re_hi, im_lo, im_hi))
+    encs = [ComplexEnclosure(Enclosure(a, b), Enclosure(c, d))
+            for a, b, c, d in boxes]
     den = Enclosure(0.75, math.nextafter(0.75, 2.0))
-    encs = [Enclosure(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
+    real = Enclosure(-0.25, 3.0)
 
-    def ends(pairs):
-        return [list(map(float, e)) for e in pairs]
+    def bits(values):
+        return [tuple(v.hex() for v in t) for t in values]
 
-    lo, hi = widen_ends(a, b, delta)
-    assert ends(zip(lo, hi)) == [[e.lo, e.hi] for e in (
-        enc.widen(d) for enc, d in zip(encs, delta.tolist()))]
-    lo, hi = div_ends(a, b, den)
-    assert ends(zip(lo, hi)) == [[e.lo, e.hi] for e in
-                                 (enc / den for enc in encs)]
-    mag_lo, mag_hi = abs_ends(a, b)
-    assert ends(zip(mag_lo, mag_hi)) == [[e.abs_lo, e.abs_hi] for e in encs]
-    points = [Enclosure.exact(v).widen(0.0) for v in a.tolist()]
-    assert ends(zip(down(a), up(a))) == [[e.lo, e.hi] for e in points]
+    def as_box(z):
+        return (z.re.lo, z.re.hi, z.im.lo, z.im.hi)
+
+    assert bits(widen_box(b, d) for b, d in zip(boxes, delta)) == bits(
+        as_box(z.widen(d)) for z, d in zip(encs, delta))
+    assert bits(add_real_box(b, real) for b in boxes) == bits(
+        as_box(z + ComplexEnclosure.from_real(real)) for z in encs)
+    assert bits(div_box(b, den) for b in boxes) == bits(
+        as_box(z.div_real(den)) for z in encs)
+    assert bits(abs_box(b) for b in boxes) == bits(
+        (e.lo, e.hi) for e in (z.abs_bounds() for z in encs))
     with pytest.raises(ZeroDivisionError):
-        div_ends(a, b, Enclosure(-1.0, 1.0))
+        div_box(boxes[0], Enclosure(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["normal", "mixed"])
+def test_ulps_out_all_equals_ulps_out(kind):
+    # positive normal lists step their bit patterns; any other list steps
+    # each float through nextafter, across zero and into the subnormals
+    rng = np.random.default_rng(11)
+    xs = np.ldexp(rng.uniform(0.5, 1.0, 3000),
+                  rng.integers(-1021, 1024, 3000)).tolist()
+    xs += [2.0 ** -1022, math.nextafter(2.0 ** 1023, 0.0), 2.0 ** 1023]
+    if kind == "mixed":
+        xs += [0.0, -0.0, 5e-324, -5e-324, 4e-323, -1.5, math.inf,
+               1.7976931348623157e308, 2.0 ** -1023]
+    for n in (1, 2, 8):
+        lo, hi = ulps_out_all(xs, n)
+        want = [ulps_out(x, n) for x in xs]
+        assert [(a.hex(), b.hex()) for a, b in zip(lo, hi)] == \
+            [(a.hex(), b.hex()) for a, b in want]
+    assert ulps_out_all([], 8) == ([], [])

@@ -99,11 +99,31 @@ def test_disk_barrier_pointwise(disk):
     delta = -0.1 + 0.0j  # z = 0.9
     expected = cmath.exp(lam * delta)
     assert abs(bar(delta) - expected) <= 1e-12 * abs(expected) + 1e-300
-    # modulus never exceeds 1 on the disk
+    # modulus never exceeds 1 on the disk; a rounded circle point that
+    # lies outside it is refused
     for phi in (0.0, 0.7, 2.1, 3.9, 5.5):
         for rad in (0.3, 0.9, 1.0):
-            w = rad * cmath.exp(1j * phi)
-            assert abs(bar(w - 1.0)) <= 1.0 + 1e-12
+            delta = rad * cmath.exp(1j * phi) - 1.0
+            if disk.domain.contains(delta):
+                assert abs(bar(delta)) <= 1.0 + 1e-12
+            else:
+                with pytest.raises(DomainError):
+                    bar(delta)
+
+
+@pytest.mark.parametrize("name, delta", [
+    ("disk-exp", 1.0), ("disk-exp", 1e-13), ("disk-exp", -2.5),
+    ("disk-exp", complex("nan")), ("synthetic", -1e-300),
+    ("synthetic", 1.5), ("synthetic", 0.5j)])
+def test_one_point_barrier_refuses_offsets_outside_the_domain(
+        ref_constants, name, delta):
+    # at z = 2 the disk hook, which assumes Re delta <= 0, gave
+    # exp(-lambda_r) where the formula gives exp(lambda_r); the one-point
+    # barrier admits its offset first, and the unchecked hook is left to
+    # callers that have admitted theirs
+    fam = family_by_name(name, ref_constants)
+    with pytest.raises(DomainError):
+        fam.barrier(math.log(10.0))(delta)
 
 
 def test_disk_barrier_tolerance_shell_is_safe(disk):
@@ -134,20 +154,21 @@ def _bits(values) -> list:
 def _assert_hook_is_scalar(fam, points, lirs):
     """values over every (point, radius) pair, in a shuffled order, equals
     the scalar closure at that radius bit for bit, and so does barrier."""
-    pts = np.array(points, dtype=complex)
+    pts = [complex(z) for z in points]
     which, radii = np.meshgrid(np.arange(len(pts)), np.asarray(lirs),
                                indexing="ij")
     order = np.random.default_rng(5).permutation(which.size)
-    which, radii = which.ravel()[order], radii.ravel()[order]
+    which = which.ravel()[order].tolist()
+    radii = radii.ravel()[order].tolist()
     got = fam.values(pts, which, radii)
     refs = {lir: scalar_barrier(fam, lir) for lir in lirs}
-    want = [refs[lir](complex(pts[i]))
-            for i, lir in zip(which.tolist(), radii.tolist())]
+    want = [refs[lir](pts[i]) for i, lir in zip(which, radii)]
     assert _bits(got) == _bits(want)
+    admitted = [z for z in pts if fam.domain.contains(z)]
     for lir in lirs[::17]:
         bar = fam.barrier(lir)
-        assert _bits([bar(z) for z in points]) == \
-            _bits([refs[lir](complex(z)) for z in points])
+        assert _bits([bar(z) for z in admitted]) == \
+            _bits([refs[lir](z) for z in admitted])
 
 
 @pytest.fixture(scope="module")
@@ -291,9 +312,15 @@ def test_make_grid_disk(disk):
 
 
 def _old_interval_grid(kind, lo, hi, count):
-    dists = (np.geomspace(lo, hi, count) if kind == "log"
-             else np.linspace(lo, hi, count))
-    return [complex(float(d), 0.0) for d in dists]
+    # linear: numpy's linspace; log: libm's 10^e on numpy's linspace of the
+    # exponents, with both ends pinned, as numpy's geomspace pins them
+    if kind == "linear":
+        dists = np.linspace(lo, hi, count).tolist()
+    else:
+        exps = np.linspace(math.log10(lo), math.log10(hi), count).tolist()
+        dists = ([lo] + [math.pow(10.0, e) for e in exps[1:-1]]
+                 + [hi])[:count]
+    return [complex(d, 0.0) for d in dists]
 
 
 @given(name=st.sampled_from(["synthetic", "disk-exp"]),

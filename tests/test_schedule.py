@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakfn import Schedule
-from peakfn._kernels import radius_bound_sweep
+from peakfn._kernels import pow_sums, radius_bound_sweep
 from peakfn.certificates import check_schedule_identities
 from peakfn.errors import DomainError, InvalidParameterError
 from peakfn.hypothesis import GUARD, P_GRID, bracket_certificate
@@ -179,3 +179,18 @@ def test_head_lists_equal_the_per_index_queries(ref_constants, n):
                                      for j in range(1, n + 1)]
     assert head.log_inv_epsilons(n) == [one.log_inv_eps(j)
                                         for j in range(1, n + 1)]
+
+
+def test_grown_prefix_sums_equal_the_sums_from_one(ref_constants):
+    # the caches are extended at each doubling, and a sequential sum
+    # extended from S_k holds the floats of one summed from j = 1
+    sched = Schedule(ref_constants)
+    for k in (1, 16, 17, 40, 1000, 1001, 5000):
+        sched.pow_sum(k)
+        sched.log_inv_radius_closed(k)
+    p = ref_constants.p
+    assert sched._psums == pow_sums(len(sched._psums), p - 1.0)
+    assert sched._tsums == pow_sums(len(sched._tsums), p)
+    assert len(sched._psums) >= 5000
+    head = pow_sums(300, p)
+    assert head + pow_sums(700, p, 300, head[-1]) == pow_sums(1000, p)

@@ -22,7 +22,7 @@ from peakfn.enclosure import ComplexEnclosure, Enclosure
 from peakfn.errors import BuildRefusedError, ConfigError, DomainError
 from peakfn.hypothesis import GUARD
 from peakfn.series import (BARRIER_EVAL_REL, SERIES_FORMAT, CaseLabel,
-                           EvalResult, _dots, _sum_up)
+                           EvalResult, _dot, _sum_up)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,9 +77,9 @@ def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
         index = {lir: j for j, lir in enumerate(ser.log_inv_r, 1)}
 
         def counted(values):
-            # one (point, j) pair per entry of the hook's arrays
+            # one (point, j) pair per entry of the hook's lists
             def hook(points, which, lirs):
-                for i, lir in zip(which.tolist(), lirs.tolist()):
+                for i, lir in zip(which, lirs):
                     calls.setdefault(complex(points[i]), []).append(
                         index[lir])
                 return values(points, which, lirs)
@@ -533,8 +533,8 @@ def test_dot_encloses_exact_interval_dot_product(inputs):
         lo_sum += min(pa, pb)
         hi_sum += max(pa, pb)
         mag += max(abs(pa), abs(pb))
-    (ends_lo,), (ends_hi,) = _dots(lo, hi, vals, [(0, len(vals))])
-    enc = Enclosure(float(ends_lo), float(ends_hi))
+    ends_mag = np.maximum(np.abs(lo), np.abs(hi)).tolist()
+    enc = Enclosure(*_dot(lo.tolist(), hi.tolist(), ends_mag, vals.tolist()))
     enc_lo, enc_hi = _units(enc.lo) << 1074, _units(enc.hi) << 1074
     assert enc_lo <= lo_sum and hi_sum <= enc_hi
     # each end lies within the error it covers (2u sum|p| + 2^-1075 per
@@ -712,7 +712,7 @@ def test_off_ball_widening_nests_the_per_term_chain(reference_cases):
 
 
 def _per_point_dot(lo, hi, vals) -> Enclosure:
-    """_dots over one segment, as it was written for one point."""
+    """_dot as it was written with numpy arrays."""
     pos = vals >= 0.0
     p_lo = np.where(pos, lo, hi) * vals
     p_hi = np.where(pos, hi, lo) * vals
@@ -735,13 +735,14 @@ def _per_point_evaluate(ser, y) -> EvalResult:
         if phi <= ser.consts.alpha:
             k = m
     vals = np.array([f(y) for f in head_barriers(ser)[:k]], dtype=complex)
-    sig_lo, sig_hi = ser.sigma_lo[:k], ser.sigma_hi[:k]
+    sig_lo = np.asarray(ser.sigma_lo[:k])
+    sig_hi = np.asarray(ser.sigma_hi[:k])
     mods = np.hypot(vals.real, vals.imag)
     num = ComplexEnclosure(_per_point_dot(sig_lo, sig_hi, vals.real),
                            _per_point_dot(sig_lo, sig_hi, vals.imag))
     num = num.widen(_sum_up((sig_hi * mods * BARRIER_EVAL_REL).tolist()))
     running = np.maximum.accumulate(mods)
-    hits = np.flatnonzero(running >= ser.thresholds[:k])
+    hits = np.flatnonzero(running >= np.asarray(ser.thresholds[:k]))
     if hits.size:
         member_m = int(hits[0]) + 1
     elif k < n:

@@ -336,5 +336,5 @@ def test_unit_panel_kernel_matches_quad_psi_negt(ref_constants, index,
             j - 1.0, float(j), *args), j
     # a batch that starts mid-way gives the same pairs
     lo5, hi5 = _kernels.quad_unit_panels(7, 20, *args)
-    assert lo5.tolist() == lo[5:25].tolist()
-    assert hi5.tolist() == hi[5:25].tolist()
+    assert lo5 == lo[5:25]
+    assert hi5 == hi[5:25]
