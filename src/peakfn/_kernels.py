@@ -102,8 +102,17 @@ def quad_psi_negt(a, b, lid, ca, p, t):
     rounding premises hold: with libm pow within 1 ulp and 1+p rounded,
     pow(psi_val(tau), -t) is within (4 + 2 ln max(tau, 1)) u of
     psi(tau)^(-t), and |d/dtau psi^(-t)| <= t (1+p) psi^(-t)/tau.
+    The integrand is pow(psi_val(s), -t) with psi_val inlined.
     """
-    return bracket_quad(lambda s: math.pow(psi_val(s, lid, ca, p), -t), a, b)
+    pw = math.pow
+    e = 1.0 + p
+
+    def f(s):
+        if s < 1.0:
+            s = 1.0
+        return pw(s * lid + ca * pw(s, e), -t)
+
+    return bracket_quad(f, a, b)
 
 
 def quad_unit_panels(first: int, count: int, lid, ca, p, t):

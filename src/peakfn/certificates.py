@@ -123,19 +123,27 @@ def check_claim1(consts: Constants) -> dict:
 
 def check_claim2(engine: WeightEngine, m_range=(2, 120)) -> dict:
     """Tail-dominates-head inequality:
-    mk * tail(m) > eps_{m-1}^s * sum_{j<m} sigma_j, conservative sides."""
+    mk * tail(m) > eps_{m-1}^s * sum_{j<m} sigma_j, conservative sides.
+
+    One pass over float lists: log(1/eps_{m-1}) from the schedule, the
+    prefix sums' upper ends and the tails' lower ends from the engine, the
+    very floats of log_inv_eps(m-1), sigma_prefix(m-1).hi and tail(m).lo.
+    """
     lo, hi = int(m_range[0]), int(m_range[1])
     if lo < 2:
         raise ValueError("claim 2 applies from m = 2 on")
     consts = engine.consts
-    sched = engine.schedule
+    neg_s, mk = -consts.s, consts.mk
+    top = max(hi, lo - 1)   # an empty range reads empty lists
+    lies = engine.schedule.log_inv_epsilons(top - 1)[lo - 2:]
+    heads = engine.sigma_prefix_bounds(top - 1)[1][lo - 1:]
+    tails = engine.tail_lower_ends(lo, top)
     min_rel = math.inf
     argmin = 0
     ok = True
-    for m in range(lo, hi + 1):
-        eps_pow = math.exp(-consts.s * sched.log_inv_eps(m - 1))
-        rhs = eps_pow * engine.sigma_prefix(m - 1).hi
-        lhs = consts.mk * engine.tail(m).lo
+    for m, lie, head, tail in zip(range(lo, hi + 1), lies, heads, tails):
+        rhs = math.exp(neg_s * lie) * head
+        lhs = mk * tail
         r = hyp.rel_margin(rhs, lhs)
         if r < min_rel:
             min_rel = r
@@ -175,9 +183,8 @@ def check_schedule_identities(sched: Schedule, m_equiv: int = 200) -> list:
     closed-form proofs of the partial-sum brackets and the radius bound."""
     worst_rel = 0.0
     arg = 1
-    for m in range(1, m_equiv + 1):
-        a = sched.log_inv_radius(m)
-        b = sched.log_inv_radius_closed(m)
+    for m, a, b in zip(range(1, m_equiv + 1), sched.log_inv_radii(m_equiv),
+                       sched.log_inv_radii_closed(m_equiv)):
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
         if rel > worst_rel:
             worst_rel = rel

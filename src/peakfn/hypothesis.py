@@ -8,6 +8,7 @@ margins, so downstream modules can treat the constants as pre-validated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -166,6 +167,11 @@ def choose_D(alpha: float, s: float, C: float) -> float:
     else:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                # hi only ever holds a point whose margin is not >= 0, so
+                # from here on every step repeats this one and leaves lo,
+                # all that d_eq reads, as it is
+                break
             if first_shell_margin(alpha, s, C, mid) >= 0.0:
                 lo = mid
             else:
@@ -199,6 +205,16 @@ def derive_k(alpha: float, M: float) -> float:
     return (1.0 - alpha) / (2.0 * M)
 
 
+def _eps_coefficients(alpha: float, s: float, t: float, A: float,
+                      M: float, p: float, q: float) -> tuple:
+    """The parts of the shrink inequality's two exponents that do not
+    depend on m: c1, c2 = log(1/A) * s/p, 1-q and 2^(1-q)."""
+    one_minus_q = 1.0 - q
+    c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
+    c2 = math.log(1.0 / A) * (s / p)
+    return c1, c2, one_minus_q, math.pow(2.0, one_minus_q)
+
+
 def eps_exponent_sides(alpha: float, s: float, t: float, A: float,
                        M: float, p: float, q: float, m: int) -> tuple[float, float]:
     """LHS and RHS exponents of the neighborhood-shrink inequality at m.
@@ -206,10 +222,9 @@ def eps_exponent_sides(alpha: float, s: float, t: float, A: float,
     LHS: [(1+Mt)(1-alpha)/(2M(1-t))] * [(m+1)^(1-q) - 2^(1-q)]
     RHS: log(1/A) * (s/p) * [(m-1)^p - 1]
     """
-    c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
-    lhs = c1 * (math.pow(m + 1.0, 1.0 - q) - math.pow(2.0, 1.0 - q))
-    rhs = math.log(1.0 / A) * (s / p) * (math.pow(m - 1.0, p) - 1.0)
-    return lhs, rhs
+    c1, c2, one_minus_q, base = _eps_coefficients(alpha, s, t, A, M, p, q)
+    return (c1 * (math.pow(m + 1.0, one_minus_q) - base),
+            c2 * (math.pow(m - 1.0, p) - 1.0))
 
 
 def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
@@ -225,8 +240,7 @@ def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
     covers every larger m.  d(m_check) > 0 is also required: it is not
     needed by the proof, but it keeps the chooser's accepted M unchanged.
     """
-    c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
-    c2 = math.log(1.0 / A) * (s / p)
+    c1, c2, _, _ = _eps_coefficients(alpha, s, t, A, M, p, q)
     gap = p - (1.0 - q)
     exp_ok = strictly_less(1.0 - q, p)
     d0 = (c2 * math.pow(m_check - 1.0, p)
@@ -253,27 +267,54 @@ def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
     }
 
 
-def eps_condition_report(alpha: float, s: float, t: float, A: float,
-                         M: float, p: float, q: float, m_check: int) -> dict:
-    """Per-m margins of the shrink inequality on [3, m_check], plus the tail
-    proof that extends it to every m >= m_check."""
-    margins = []
+def _eps_head(alpha: float, s: float, t: float, A: float, M: float,
+              p: float, q: float, m_check: int) -> tuple:
+    """The per-m loop of the shrink inequality on [3, m_check]: the rows
+    (m, lhs, rhs, rhs - lhs) as tuples, the smallest relative margin, its
+    m, and whether every m cleared the guard band.  The sides are the
+    floats of eps_exponent_sides."""
+    c1, c2, one_minus_q, base = _eps_coefficients(alpha, s, t, A, M, p, q)
+    pw = math.pow
+    rows = []
     min_rel = math.inf
     argmin = 0
     ok = True
     for m in range(3, m_check + 1):
-        lhs, rhs = eps_exponent_sides(alpha, s, t, A, M, p, q, m)
+        lhs = c1 * (pw(m + 1.0, one_minus_q) - base)
+        rhs = c2 * (pw(m - 1.0, p) - 1.0)
         r = rel_margin(lhs, rhs)
-        margins.append([m, lhs, rhs, rhs - lhs])
+        rows.append((m, lhs, rhs, rhs - lhs))
         if r < min_rel:
             min_rel = r
             argmin = m
         if not strictly_less(lhs, rhs):
             ok = False
+    return tuple(rows), min_rel, argmin, ok
+
+
+@functools.lru_cache(maxsize=32)
+def _eps_condition(alpha: float, s: float, t: float, A: float, M: float,
+                   p: float, q: float, m_check: int) -> tuple:
+    """_eps_head and the tail certificate's items, kept as tuples: one run
+    serves derive_constants and the certificate battery of an invocation,
+    and no caller can change what the next one reads."""
     tail = _eps_tail_certificate(alpha, s, t, A, M, p, q, m_check)
+    return _eps_head(alpha, s, t, A, M, p, q, m_check), tuple(tail.items())
+
+
+def eps_condition_report(alpha: float, s: float, t: float, A: float,
+                         M: float, p: float, q: float, m_check: int) -> dict:
+    """Per-m margins of the shrink inequality on [3, m_check], plus the tail
+    proof that extends it to every m >= m_check.
+
+    The inequality is computed once per set of arguments and process; each
+    call gets its own copy of the report."""
+    (rows, min_rel, argmin, ok), tail = _eps_condition(
+        alpha, s, t, A, M, p, q, m_check)
+    tail = dict(tail)
     return {
         "m_range": [3, m_check],
-        "per_m": margins,
+        "per_m": list(map(list, rows)),
         "min_rel_margin": min_rel,
         "argmin_m": argmin,
         "head_passed": ok,

@@ -92,21 +92,21 @@ class Schedule:
         lid, lia = self._lid, self._lia
         return [lid + s * lia for s in self._psums[:n]]
 
-    def log_inv_radius_closed(self, m: int) -> float:
-        """Closed form m*log(1/D) + log(1/A)*[(m-1) + sum_{j<m}(m-j)j^(p-1)].
+    def log_inv_radii_closed(self, n: int) -> list[float]:
+        """Closed forms m*log(1/D) + log(1/A)*[(m-1) + sum_{j<m}(m-j)j^(p-1)]
+        of log(1/r_m) for m = 1..n, in one pass.
 
         The weighted sum telescopes to m*S_{m-1} - T_{m-1} with
         T_k = sum_{j<=k} j^p.
         """
-        if m < 1:
-            raise InvalidParameterError(f"m must be >= 1, got {m!r}")
-        if m == 1:
-            return float(m) * self._lid
-        s = self.pow_sum(m - 1)
-        self._tsums = self._grown(self._tsums, m - 1, self._p)
-        tsum = self._tsums[m - 2]
-        weighted = float(m) * s - tsum
-        return float(m) * self._lid + self._lia * ((m - 1.0) + weighted)
+        self._ensure_psums(n - 1)
+        self._tsums = self._grown(self._tsums, n - 1, self._p)
+        lid, lia = self._lid, self._lia
+        out = [lid]   # m = 1
+        for m, s, tsum in zip(range(2, n + 1), self._psums, self._tsums):
+            mf = float(m)
+            out.append(mf * lid + lia * ((m - 1.0) + (mf * s - tsum)))
+        return out[:n]
 
     def psi(self, tau: float) -> float:
         """Majorant tau*log(1/D) + log(1/A)*L*tau^(1+p)/(p(p+1)), flat below 1."""

@@ -68,7 +68,8 @@ class PeakSeries:
     family: BarrierFamily
     consts: Constants
     n_terms: int
-    sigma_head: list            # Enclosure, index j-1 for j = 1..N
+    sigma_lo: list              # ends of sigma_j, index j-1 for j = 1..N
+    sigma_hi: list
     sigma_prefix_head: Enclosure
     tail_after_head: Enclosure
     normalizer: Enclosure
@@ -76,8 +77,6 @@ class PeakSeries:
     log_inv_eps: list           # float, j = 1..N
     engine: WeightEngine = field(repr=False)
     # derived from the fields above, so dataclasses.replace recomputes them
-    sigma_lo: list = field(init=False, repr=False, compare=False)
-    sigma_hi: list = field(init=False, repr=False, compare=False)
     thresholds: list = field(                # 1 + eps_j^s, j = 1..N
         init=False, repr=False, compare=False)
     _sigma_mag: list = field(                # max |end| of each sigma_j
@@ -87,11 +86,10 @@ class PeakSeries:
                           compare=False)
 
     def __post_init__(self):
-        self.sigma_lo = [e.lo for e in self.sigma_head]
-        self.sigma_hi = [e.hi for e in self.sigma_head]
         self.thresholds = [1.0 + math.exp(-self.consts.s * lie)
                            for lie in self.log_inv_eps]
-        self._sigma_mag = [max(abs(e.lo), abs(e.hi)) for e in self.sigma_head]
+        self._sigma_mag = list(map(max, map(abs, self.sigma_lo),
+                                   map(abs, self.sigma_hi)))
 
     def split_index(self, delta: complex) -> int:
         """Smallest m with r_m <= |delta|, delta = y - x, as
@@ -118,8 +116,9 @@ class PeakSeries:
         plus the barrier pad the called terms carry.  At the peak, when
         m >= N, and where phi > alpha, all N head barriers are called.
 
-        The head sum sum_j [sigma_j] f_j(y) is two interval dot products
-        (real and imaginary parts; see _dots) widened by the barrier pad
+        The head sum sum_j [sigma_j] f_j(y) is two interval dot products,
+        one _dot over the real parts and one over the imaginary parts of
+        the f_j(y), widened by the barrier pad
         BARRIER_EVAL_REL * sum_j sigma_j.hi |f_j(y)|; the pad, like the
         ceiling of the indices between the head and the split, is an fsum
         rounded up, so it bounds the exact sum of its float terms.
@@ -346,14 +345,13 @@ def build(fam: BarrierFamily, n_terms: int = 100,
     # the tail after the head reads sigma and g at N + 1
     engine.reserve(n_terms + 1)
     sig_lo, sig_hi = engine.sigma_bounds(n_terms)
-    sigma_head = list(map(Enclosure, sig_lo, sig_hi))
     prefix = engine.sigma_prefix(n_terms)
     tail = engine.tail(n_terms)
     lirs = sched.log_inv_radii(n_terms)
     lies = sched.log_inv_epsilons(n_terms)
     return PeakSeries(
-        family=fam, consts=consts, n_terms=n_terms, sigma_head=sigma_head,
-        sigma_prefix_head=prefix, tail_after_head=tail,
+        family=fam, consts=consts, n_terms=n_terms, sigma_lo=sig_lo,
+        sigma_hi=sig_hi, sigma_prefix_head=prefix, tail_after_head=tail,
         normalizer=prefix + tail, log_inv_r=lirs, log_inv_eps=lies,
         engine=engine)
 
@@ -410,7 +408,7 @@ def _payload(series: PeakSeries) -> dict:
         "family": series.family.name,
         "constants": series.consts.to_dict(),
         "n_terms": series.n_terms,
-        "sigma_head": [_enc_pair(e) for e in series.sigma_head],
+        "sigma_head": list(map(list, zip(series.sigma_lo, series.sigma_hi))),
         "sigma_prefix_head": _enc_pair(series.sigma_prefix_head),
         "tail_after_head": _enc_pair(series.tail_after_head),
         "normalizer": _enc_pair(series.normalizer),

@@ -186,6 +186,14 @@ class WeightEngine:
         self.reserve(n)
         return Enclosure(self._pre_lo[n], self._pre_hi[n])
 
+    def sigma_prefix_bounds(self, n: int) -> tuple[list, list]:
+        """Lower and upper ends of sigma_prefix(k) for k = 0..n, as two
+        float lists."""
+        if n < 0:
+            raise InvalidParameterError(f"prefix needs n >= 0, got {n!r}")
+        self.reserve(n)
+        return self._pre_lo[:n + 1], self._pre_hi[:n + 1]
+
     def sigma_range(self, a: int, b: int) -> Enclosure:
         """Enclosure of sum_{j=a..b} sigma_j; zero when the range is empty."""
         if b < a:
@@ -212,6 +220,20 @@ class WeightEngine:
         upper = self.sigma(m2 + 1) + integral
         bracket = Enclosure(integral.lo, upper.hi)
         return head + bracket
+
+    def tail_lower_ends(self, lo: int, hi: int) -> list:
+        """tail(m).lo for m = lo..hi, from one pass over the cache of g.
+
+        The lower end of tail(m)'s bracket is g(m+1)/(M k), and tail adds
+        it to the empty head sum; each step rounds down as Enclosure's
+        quotient by a positive scalar and its sum do.  Once g is cached up
+        to hi + 1, g(m+1) reads the cache, so these are tail's floats.
+        """
+        if lo < 0:
+            raise InvalidParameterError(f"tail needs m >= 0, got {lo!r}")
+        self.reserve(hi + 1)
+        mk = self.consts.mk
+        return [down(0.0 + down(g / mk)) for g in self._g_lo[lo + 1:hi + 2]]
 
     # -- lemma-facing checks ----------------------------------------------
 

@@ -38,7 +38,7 @@ def head_barriers(ser) -> list:
 def test_build_shape(ref_series, ref_constants):
     ser = ref_series
     assert ser.n_terms == 100
-    assert len(ser.sigma_head) == 100
+    assert len(ser.sigma_lo) == len(ser.sigma_hi) == 100
     assert len(ser.log_inv_r) == 100
     assert len(ser.log_inv_eps) == 100
     assert ser.consts == ref_constants
@@ -60,7 +60,8 @@ def test_evaluate_at_peak(ref_series):
 def test_peak_enclosure_comes_from_the_sum(ref_series):
     # the peak value sums sigma_j f_j(x) = sigma_j; a wrong head shows there
     tripled = dataclasses.replace(
-        ref_series, sigma_head=[e * 3.0 for e in ref_series.sigma_head])
+        ref_series, sigma_lo=[lo * 3.0 for lo in ref_series.sigma_lo],
+        sigma_hi=[hi * 3.0 for hi in ref_series.sigma_hi])
     res = tripled.evaluate(0.0)
     assert not res.F.re.contains(1.0)
     assert res.F.re.lo > 1.1
@@ -226,7 +227,8 @@ def test_round_trip_is_bit_identical(ref_series, tmp_path):
     again = load_series(path)
     assert again.consts == ref_series.consts
     assert again.n_terms == ref_series.n_terms
-    assert again.sigma_head == ref_series.sigma_head
+    assert again.sigma_lo == ref_series.sigma_lo
+    assert again.sigma_hi == ref_series.sigma_hi
     assert again.normalizer == ref_series.normalizer
     assert again.log_inv_r == ref_series.log_inv_r
     for y in (0.0, 1e-30, 1e-12, 0.05, 0.5, 1.0):
@@ -257,7 +259,8 @@ def test_load_ignores_old_quad_rel_tol(ref_series, tmp_path):
     payload["quad_rel_tol"] = 1e-10
     path.write_text(json.dumps(payload))
     again = load_series(path)
-    assert again.sigma_head == ref_series.sigma_head
+    assert again.sigma_lo == ref_series.sigma_lo
+    assert again.sigma_hi == ref_series.sigma_hi
     assert again.normalizer == ref_series.normalizer
 
 
@@ -468,8 +471,8 @@ def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
     for y in make_grid(ser.family, "log", 1e-30, 1e-3, 200):
         sums.clear()
         res = ser.evaluate(y)
-        pad_terms = [sig.hi * abs(complex(f(y))) * BARRIER_EVAL_REL
-                     for sig, f in zip(ser.sigma_head, head_barriers(ser))]
+        pad_terms = [hi * abs(complex(f(y))) * BARRIER_EVAL_REL
+                     for hi, f in zip(ser.sigma_hi, head_barriers(ser))]
         pads = [out for terms, out in sums if terms == pad_terms]
         assert len(pads) == 1
         assert Fraction(pads[0]) >= sum(map(Fraction, pad_terms))
@@ -560,7 +563,8 @@ def _reference_evaluate(ser, y) -> EvalResult:
     thresholds = [1.0 + math.exp(-ser.consts.s * lie)
                   for lie in ser.log_inv_eps]
     for j, (sig, f, thr) in enumerate(
-            zip(ser.sigma_head, head_barriers(ser), thresholds), 1):
+            zip(map(Enclosure, ser.sigma_lo, ser.sigma_hi),
+                head_barriers(ser), thresholds), 1):
         fval = complex(f(y))
         mod = abs(fval)
         num = num.add_scaled(sig, fval)
