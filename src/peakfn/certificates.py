@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import hypothesis as hyp
 # unused here; kept because perfbench's tracer wraps the name in this module
 from ._kernels import radius_bound_sweep  # noqa: F401
-from .hypothesis import GUARD, Constants
+from .hypothesis import GUARD, M_MAX, Constants
 from .schedule import Schedule
 from .weights import WeightEngine
 
@@ -67,20 +67,18 @@ def check_first_shell(consts: Constants) -> dict:
     }
 
 
-def check_eps_condition(consts: Constants, m_range=(3, 120)) -> dict:
+def check_eps_condition(consts: Constants, m_max: int = M_MAX) -> dict:
     """Neighborhood-shrink exponent inequality for every m >= 3.
 
-    The record is the chooser's own report: the head check on [3, hi] and
-    the tail proof that extends it to all m >= hi.
+    The record is the chooser's own report: the head check on [3, m_max]
+    and the tail proof that extends it to all m >= m_max.
     """
-    lo, hi = int(m_range[0]), int(m_range[1])
-    if lo != 3:
-        raise ValueError("eps condition is checked from m = 3 on")
     rep = hyp.eps_condition_report(consts.alpha, consts.s, consts.t, consts.A,
-                                   consts.M, consts.p, consts.q, hi)
+                                   consts.M, consts.p, consts.q, m_max)
     return {
         "name": "eps-condition",
-        "range": f"m in [3, {hi}] plus tail certificate for all m >= {hi}",
+        "range": (f"m in [3, {m_max}] plus tail certificate for all "
+                  f"m >= {m_max}"),
         "min_rel_margin": rep["min_rel_margin"],
         "argmin_m": rep["argmin_m"],
         "guard": GUARD,
@@ -121,27 +119,24 @@ def check_claim1(consts: Constants) -> dict:
     }
 
 
-def check_claim2(engine: WeightEngine, m_range=(2, 120)) -> dict:
-    """Tail-dominates-head inequality:
+def check_claim2(engine: WeightEngine, m_max: int = M_MAX) -> dict:
+    """Tail-dominates-head inequality for m in [2, m_max]:
     mk * tail(m) > eps_{m-1}^s * sum_{j<m} sigma_j, conservative sides.
 
     One pass over float lists: log(1/eps_{m-1}) from the schedule, the
     prefix sums' upper ends and the tails' lower ends from the engine, the
     very floats of log_inv_eps(m-1), sigma_prefix(m-1).hi and tail(m).lo.
     """
-    lo, hi = int(m_range[0]), int(m_range[1])
-    if lo < 2:
-        raise ValueError("claim 2 applies from m = 2 on")
     consts = engine.consts
     neg_s, mk = -consts.s, consts.mk
-    top = max(hi, lo - 1)   # an empty range reads empty lists
-    lies = engine.schedule.log_inv_epsilons(top - 1)[lo - 2:]
-    heads = engine.sigma_prefix_bounds(top - 1)[1][lo - 1:]
-    tails = engine.tail_lower_ends(lo, top)
+    top = max(m_max, 1)   # an empty range reads empty lists
+    lies = engine.schedule.log_inv_epsilons(top - 1)
+    heads = engine.sigma_prefix_bounds(top - 1)[1][1:]
+    tails = engine.tail_lower_ends(2, top)
     min_rel = math.inf
     argmin = 0
     ok = True
-    for m, lie, head, tail in zip(range(lo, hi + 1), lies, heads, tails):
+    for m, lie, head, tail in zip(range(2, m_max + 1), lies, heads, tails):
         rhs = math.exp(neg_s * lie) * head
         lhs = mk * tail
         r = hyp.rel_margin(rhs, lhs)
@@ -152,7 +147,7 @@ def check_claim2(engine: WeightEngine, m_range=(2, 120)) -> dict:
             ok = False
     return {
         "name": "claim-2",
-        "range": f"m in [{lo}, {hi}]",
+        "range": f"m in [2, {m_max}]",
         "min_rel_margin": min_rel,
         "argmin_m": argmin,
         "guard": GUARD,
@@ -224,21 +219,20 @@ def check_schedule_identities(sched: Schedule, m_equiv: int = 200) -> list:
     return [rec_equiv, rec_bracket, rec_radius]
 
 
-def run_all(engine: WeightEngine, m_max: int = 120) -> CertificateReport:
+def run_all(engine: WeightEngine, m_max: int = M_MAX) -> CertificateReport:
     """Full certificate battery for the constants of one engine; the sweeps
     fill its caches, so a series assembled from it holds the certified
-    weights."""
-    if m_max < 3:
-        raise ValueError("m_max must be at least 3")
+    weights.  An m_max below 3 is refused (InvalidParameterError) by the
+    shrink-inequality check."""
     consts = engine.consts
     # claim 2 reads sigma and g up to m_max + 1: one batch
     engine.reserve(m_max + 1)
     report = CertificateReport(constants=consts.to_dict())
     report.record(check_first_shell(consts))
-    report.record(check_eps_condition(consts, (3, m_max)))
+    report.record(check_eps_condition(consts, m_max))
     for rec in check_schedule_identities(engine.schedule):
         report.record(rec)
     report.record(check_claim1(consts))
-    report.record(check_claim2(engine, (2, m_max)))
+    report.record(check_claim2(engine, m_max))
     report.record(check_lemma(engine))
     return report

@@ -21,6 +21,11 @@ from .errors import (BuildRefusedError, ConfigError, InfeasibleParametersError,
 from .hypothesis import GUARD, HypothesisConstants, derive_constants
 from .weights import WeightEngine
 
+# what build reads where --terms is not given, and eval and verify where
+# --grid is not
+DEFAULT_TERMS = 100
+DEFAULT_GRID = "log:1e-30:1:500"
+
 
 def _emit(text: str, out_path) -> None:
     if out_path:
@@ -69,19 +74,18 @@ def cmd_certify(cfg: Config, m_max, out) -> int:
 
 
 def cmd_build(cfg: Config, terms, series, out) -> int:
-    path = series or cfg.series
-    if not path:
-        raise ConfigError("build needs --series PATH (or 'series' in config)")
+    if not series:
+        raise ConfigError("build needs --series PATH")
     consts, _ = _derive_from_config(cfg)
     fam = families.family_by_name(cfg.family, consts)
-    n = int(terms) if terms is not None else cfg.N
+    n = DEFAULT_TERMS if terms is None else int(terms)
     built = series_mod.build(fam, n_terms=n, m_max=cfg.m_max)
-    series_mod.save_series(built, path)
+    series_mod.save_series(built, series)
     payload = {
         "command": "build",
         "family": fam.name,
         "n_terms": n,
-        "series": str(path),
+        "series": str(series),
         "normalizer": [built.normalizer.lo, built.normalizer.hi],
         "passed": True,
     }
@@ -90,25 +94,15 @@ def cmd_build(cfg: Config, terms, series, out) -> int:
 
 
 def _load_for_grid(cfg: Config, series_path, grid_arg):
-    path = series_path or cfg.series
-    if not path:
-        raise ConfigError("need --series PATH (or 'series' in config); "
-                          "run build first")
-    grid = parse_grid(grid_arg) if grid_arg else cfg.grid
+    """The config's series at the head length the file names, and the
+    grid's offsets; the file must hold exactly what the config builds."""
+    if not series_path:
+        raise ConfigError("need --series PATH; run build first")
+    grid = parse_grid(grid_arg or DEFAULT_GRID)
     consts, _ = _derive_from_config(cfg)
-    ser = series_mod.load_series(path, m_max=cfg.m_max)
-    if ser.family.name != cfg.family:
-        raise ConfigError(
-            f"series file {path!r} is for family {ser.family.name!r}, "
-            f"the config names {cfg.family!r}")
-    if ser.consts != consts:
-        mine, theirs = consts.to_dict(), ser.consts.to_dict()
-        differ = [k for k in mine if mine[k] != theirs[k]]
-        raise ConfigError(
-            f"series file {path!r} was built from other constants than the "
-            f"config's: {', '.join(differ)} differ")
-    points = families.make_grid(ser.family, *grid.as_tuple())
-    return ser, points
+    fam = families.family_by_name(cfg.family, consts)
+    ser = series_mod.load_series(series_path, fam, m_max=cfg.m_max)
+    return ser, families.make_grid(fam, *grid)
 
 
 def _fmt(v: float) -> str:
@@ -152,6 +146,7 @@ def cmd_verify(cfg: Config, series, grid, out) -> int:
 _CONFIG_OUT = {"--config": ("PATH", "JSON config file (required)"),
                "--out": ("PATH", "write the report here instead of stdout")}
 _SERIES_IN = ("PATH", "series file produced by build")
+_GRID_DEFAULT = f"grid (default {DEFAULT_GRID})"
 COMMANDS = {
     "params": (cmd_params, "derive and report constants", {
         **_CONFIG_OUT,
@@ -160,14 +155,15 @@ COMMANDS = {
         **_CONFIG_OUT,
         "--m-max": ("INT", "upper index for the per-m certificates")}),
     "build": (cmd_build, "build and save a peak series", {
-        **_CONFIG_OUT, "--terms": ("INT", "head length N"),
+        **_CONFIG_OUT,
+        "--terms": ("INT", f"head length N (default {DEFAULT_TERMS})"),
         "--series": ("PATH", "where to write the series file")}),
     "eval": (cmd_eval, "evaluate a series on a grid", {
         **_CONFIG_OUT, "--series": _SERIES_IN,
-        "--grid": ("KIND:LO:HI:COUNT", "evaluation grid")}),
+        "--grid": ("KIND:LO:HI:COUNT", "evaluation " + _GRID_DEFAULT)}),
     "verify": (cmd_verify, "certify |F| < 1 on a grid", {
         **_CONFIG_OUT, "--series": _SERIES_IN,
-        "--grid": ("KIND:LO:HI:COUNT", "verification grid")}),
+        "--grid": ("KIND:LO:HI:COUNT", "verification " + _GRID_DEFAULT)}),
 }
 
 

@@ -1,8 +1,11 @@
 """Config file loading and grid-spec parsing for the command-line tool.
 
 Configs are JSON: five required hypothesis reals, optional derivation
-overrides, and optional run settings. Everything downstream is a pure
-function of this record, which is what makes reruns byte-identical.
+overrides (D, M, L), the barrier family and the upper end m_max of the
+per-m checks.  They fix the constants and the family and nothing else:
+the head length, the grid and the series path are the flags --terms,
+--grid and --series.  Everything downstream is a pure function of the
+config and the flags, which is what makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -12,22 +15,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .hypothesis import M_MAX
 
 GRID_KINDS = ("log", "linear")
 
 REQUIRED_KEYS = ("alpha", "s", "t", "A", "C")
-OPTIONAL_KEYS = ("D", "M", "L", "N", "family", "grid", "m_max", "series")
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    kind: str
-    lo: float
-    hi: float
-    count: int
-
-    def as_tuple(self):
-        return (self.kind, self.lo, self.hi, self.count)
+OPTIONAL_KEYS = ("D", "M", "L", "family", "m_max")
 
 
 @dataclass(frozen=True)
@@ -40,15 +33,13 @@ class Config:
     D: float | None = None
     M: float | None = None
     L: float | None = None
-    N: int = 100
     family: str = "synthetic"
-    grid: GridSpec = GridSpec("log", 1e-30, 1.0, 500)
-    m_max: int = 120
-    series: str | None = None
+    m_max: int = M_MAX
 
 
-def parse_grid(spec: str) -> GridSpec:
-    """Parse a KIND:LO:HI:COUNT grid spec string."""
+def parse_grid(spec: str) -> tuple:
+    """Parse a KIND:LO:HI:COUNT grid spec string into make_grid's
+    (kind, lo, hi, count)."""
     parts = str(spec).split(":")
     if len(parts) != 4:
         raise ConfigError(
@@ -68,19 +59,7 @@ def parse_grid(spec: str) -> GridSpec:
             f"grid spec {spec!r} needs 0 < LO <= HI, both finite")
     if count < 1:
         raise ConfigError(f"grid spec {spec!r} needs COUNT >= 1")
-    return GridSpec(kind, lo, hi, count)
-
-
-def _as_grid(value) -> GridSpec:
-    if isinstance(value, str):
-        return parse_grid(value)
-    if isinstance(value, dict):
-        try:
-            return parse_grid(
-                f"{value['kind']}:{value['lo']}:{value['hi']}:{value['count']}")
-        except KeyError as exc:
-            raise ConfigError(f"grid object missing key {exc}") from exc
-    raise ConfigError("grid must be a KIND:LO:HI:COUNT string or an object")
+    return kind, lo, hi, count
 
 
 def _req_real(data: dict, key: str) -> float:
@@ -117,26 +96,15 @@ def load_config(path) -> Config:
     kwargs = {k: _req_real(data, k) for k in REQUIRED_KEYS}
     for k in ("D", "M", "L"):
         kwargs[k] = _opt_real(data, k)
-    if "N" in data:
-        n = data["N"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError("config key 'N' must be a positive integer")
-        kwargs["N"] = n
     if "family" in data:
         fam = data["family"]
         if not isinstance(fam, str):
             raise ConfigError("config key 'family' must be a string")
         kwargs["family"] = fam
-    if "grid" in data:
-        kwargs["grid"] = _as_grid(data["grid"])
     if "m_max" in data:
         mm = data["m_max"]
-        if isinstance(mm, bool) or not isinstance(mm, int) or mm < 3:
-            raise ConfigError("config key 'm_max' must be an integer >= 3")
+        # the derivation refuses one below 3, as it does --m-max
+        if isinstance(mm, bool) or not isinstance(mm, int):
+            raise ConfigError("config key 'm_max' must be an integer")
         kwargs["m_max"] = mm
-    if "series" in data:
-        v = data["series"]
-        if not isinstance(v, str):
-            raise ConfigError("config key 'series' must be a path string")
-        kwargs["series"] = v
     return Config(**kwargs)

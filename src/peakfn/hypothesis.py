@@ -33,6 +33,10 @@ M_CAP_FACTOR = 2.0 ** 20
 # radius-bound constant; choose_L proves L >= 3 suffices for every p in (0,1)
 L_CANDIDATE = 5.0
 
+# default upper end of the per-m checks: the shrink inequality on
+# [3, M_MAX] and claim 2 on [2, M_MAX]; a config's m_max or --m-max moves it
+M_MAX = 120
+
 # p values on which the tests compare the L bound with a direct sweep
 # (p is in (0,1) for all admissible t, M)
 P_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
@@ -308,7 +312,12 @@ def eps_condition_report(alpha: float, s: float, t: float, A: float,
     proof that extends it to every m >= m_check.
 
     The inequality is computed once per set of arguments and process; each
-    call gets its own copy of the report."""
+    call gets its own copy of the report.  Every m_max a config or the
+    command line sets reaches the checks here, so this is where one below 3
+    is refused."""
+    if m_check < 3:
+        raise InvalidParameterError(
+            f"m_max must be at least 3, got {m_check!r}")
     (rows, min_rel, argmin, ok), tail = _eps_condition(
         alpha, s, t, A, M, p, q, m_check)
     tail = dict(tail)
@@ -323,7 +332,8 @@ def eps_condition_report(alpha: float, s: float, t: float, A: float,
     }
 
 
-def choose_M(h: HypothesisConstants, m_check: int = 120) -> tuple[float, dict]:
+def choose_M(h: HypothesisConstants,
+             m_check: int = M_MAX) -> tuple[float, dict]:
     """Smallest M on a geometric grid satisfying the shrink inequality.
 
     Candidates are max(C, 1+DELTA_M) * 2^i starting one doubling above the
@@ -331,8 +341,6 @@ def choose_M(h: HypothesisConstants, m_check: int = 120) -> tuple[float, dict]:
     useful margin).  Each candidate is checked on [3, m_check] plus the
     documented tail certificate.
     """
-    if m_check < 3:
-        raise InvalidParameterError("m_check must be at least 3")
     base = max(h.C, 1.0 + DELTA_M)
     cap = M_CAP_FACTOR * max(h.C, 1.0)
     candidate = 2.0 * base
@@ -399,7 +407,7 @@ def derive_constants(h: HypothesisConstants,
                      D: float | None = None,
                      M: float | None = None,
                      L: float | None = None,
-                     m_check: int = 120) -> tuple[Constants, dict]:
+                     m_check: int = M_MAX) -> tuple[Constants, dict]:
     """Full derivation pipeline; overrides are recorded, not re-judged.
 
     Overridden D/M/L values are carried into the Constants as-is; the

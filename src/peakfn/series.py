@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator
 
-from . import certificates, families
+from . import certificates
 from .enclosure import (ComplexEnclosure, Enclosure, abs_box, add_real_box,
                         div_box, widen_box)
-from .errors import (BuildRefusedError, ConfigError, DomainError,
-                     FamilyAuditError)
-from .hypothesis import (GUARD, Constants, HypothesisConstants, derive_k,
-                         derive_pq)
+from .errors import BuildRefusedError, ConfigError, DomainError
+from .hypothesis import GUARD, M_MAX, Constants
 from .families import BarrierFamily
 from .weights import WeightEngine
 
@@ -263,14 +261,11 @@ class PeakSeries:
     def verify_peak(self, grid) -> dict:
         """Certify |F(y)| < 1 at every grid point and F(x) around 1.
 
-        grid: iterable of offsets from the peak, or a (kind, lo, hi, count)
-        spec tuple.  The report names each point by x + delta rounded to
-        binary64, so near the peak several points can print alike.
+        grid: iterable of offsets from the peak, such as make_grid returns.
+        The report names each point by x + delta rounded to binary64, so
+        near the peak several points can print alike.
         """
-        if isinstance(grid, tuple) and len(grid) == 4:
-            points = families.make_grid(self.family, *grid)
-        else:
-            points = list(grid)
+        points = list(grid)
         if not points:
             raise DomainError("verification grid is empty")
         domain = self.family.domain
@@ -322,7 +317,7 @@ class PeakSeries:
 
 
 def build(fam: BarrierFamily, n_terms: int = 100,
-          m_max: int = 120) -> PeakSeries:
+          m_max: int = M_MAX) -> PeakSeries:
     """The series of fam and its constants with an N-term head, assembled
     only after the certificate battery and the family's certificate pass.
 
@@ -423,19 +418,17 @@ def save_series(series: PeakSeries, path) -> None:
         fh.write("\n")
 
 
-def load_series(path, m_max: int = 120) -> PeakSeries:
-    """Rebuild the series a file names through build and refuse the file
-    unless it holds exactly the rebuilt numbers.
+def load_series(path, fam: BarrierFamily, m_max: int = M_MAX) -> PeakSeries:
+    """Rebuild fam's series at the head length a file names, and refuse
+    the file unless it holds exactly the rebuilt numbers.
 
-    Only format, family, constants and n_terms are read as inputs, and
-    the head arrays must hold n_terms entries before anything is rebuilt.
-    The hypothesis constants must lie in their ranges, and p, q and k
-    must be the ones t, M and alpha derive, as the tail bracket and the
-    claim-1 proof assume.  The rebuild reruns the certificate battery (up to
-    m_max) and the family certificate, so a file whose constants fail
-    either is refused as build refuses them (BuildRefusedError).  The
-    weights, tail, normalizer and schedule in the file must equal the
-    rebuild's, so a file written where libm rounds differently is refused.
+    The file is an input only through n_terms.  Before anything is
+    rebuilt, its family and constants must be fam's, and its head arrays
+    must hold n_terms entries.  The rebuild reruns the certificate battery
+    (up to m_max) and the family certificate, so constants that fail
+    either are refused as build refuses them (BuildRefusedError).  Every
+    key in the file must equal the rebuild's, and no other key may appear,
+    so a file written where libm rounds differently is refused.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -448,8 +441,18 @@ def load_series(path, m_max: int = 120) -> PeakSeries:
         raise ConfigError(
             f"unsupported series format {payload.get('format')!r}; "
             f"expected {SERIES_FORMAT!r}")
-    # written by versions that still had an adjustable quadrature tolerance
-    payload.pop("quad_rel_tol", None)
+    if payload.get("family") != fam.name:
+        raise ConfigError(
+            f"series file {path!r} is for family {payload.get('family')!r}, "
+            f"the config names {fam.name!r}")
+    mine, theirs = fam.consts.to_dict(), payload.get("constants")
+    if theirs != mine:
+        theirs = theirs if isinstance(theirs, dict) else {}
+        differ = [k for k in mine if theirs.get(k) != mine[k]]
+        differ += [k for k in theirs if k not in mine]
+        raise ConfigError(
+            f"series file {path!r} was built from other constants than the "
+            f"config's: {', '.join(differ)} differ")
     # the rebuild costs O(n_terms): refuse a head that cannot match first
     n = payload.get("n_terms")
     if type(n) is not int or n < 1:
@@ -462,25 +465,11 @@ def load_series(path, m_max: int = 120) -> PeakSeries:
         raise ConfigError(f"malformed series file {path!r}: "
                           f"{', '.join(short)} must hold n_terms = {n} "
                           "entries")
-    try:
-        consts = Constants.from_dict(payload["constants"])
-        HypothesisConstants(consts.alpha, consts.s, consts.t, consts.A,
-                            consts.C).validate()
-        p, q = derive_pq(consts.t, consts.M)
-        k = derive_k(consts.alpha, consts.M)
-        underived = [name for name, v in (("p", p), ("q", q), ("k", k))
-                     if getattr(consts, name) != v]
-        if underived:
-            raise ValueError(f"{', '.join(underived)} not derived from t, M "
-                             "and alpha")
-        fam = families.family_by_name(payload["family"], consts)
-        series = build(fam, n, m_max=m_max)
-    except (KeyError, TypeError, ValueError, ArithmeticError,
-            FamilyAuditError) as exc:
-        raise ConfigError(f"malformed series file {path!r}: {exc}") from exc
+    series = build(fam, n, m_max=m_max)
     rebuilt = _payload(series)
-    differ = sorted(k for k in set(rebuilt) | set(payload)
-                    if rebuilt.get(k) != payload.get(k))
+    # no rebuilt value is None, so a key missing from the file differs
+    differ = sorted(k for k in rebuilt.keys() | payload.keys()
+                    if k not in rebuilt or rebuilt[k] != payload.get(k))
     if differ:
         raise ConfigError(
             f"series file {path!r} does not match the rebuild from its "

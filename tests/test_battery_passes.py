@@ -68,7 +68,7 @@ def test_claim2_matches_the_enclosure_reference(name, m_max):
     consts = CONSTANTS[name]
     # each side grows its own caches
     eng, ref_eng = WeightEngine(consts), WeightEngine(consts)
-    got = certificates.check_claim2(eng, (2, m_max))
+    got = certificates.check_claim2(eng, m_max)
     want = ref.check_claim2(ref_eng, (2, m_max))
     assert _bits(got) == _bits(want)
     # the margins hide a few ulps of their sides: compare the sides too
@@ -79,10 +79,11 @@ def test_claim2_matches_the_enclosure_reference(name, m_max):
          [ref_eng.sigma_prefix(k).hi for k in range(m_max + 1)]])
 
 
-@pytest.mark.parametrize("m_range", [(2, 2), (2, 1), (2, 0), (5, 3)])
+@pytest.mark.parametrize("m_range", [(2, 2), (2, 1), (2, 0)])
 def test_claim2_on_short_and_empty_ranges(m_range):
     consts = CONSTANTS["reference"]
-    assert _bits(certificates.check_claim2(WeightEngine(consts), m_range)) \
+    assert _bits(certificates.check_claim2(WeightEngine(consts),
+                                           m_range[1])) \
         == _bits(ref.check_claim2(WeightEngine(consts), m_range))
 
 
@@ -97,7 +98,7 @@ def test_claim2_reads_g_past_the_unit_cache(monkeypatch, m_max):
     monkeypatch.setattr(weights, "UNIT_CACHE_CAP", 64)
     consts = CONSTANTS["reference"]
     eng = WeightEngine(consts)
-    got = certificates.check_claim2(eng, (2, m_max))
+    got = certificates.check_claim2(eng, m_max)
     assert len(eng._i_lo) > 65
     want = ref.check_claim2(WeightEngine(consts), (2, m_max))
     assert _bits(got) == _bits(want)

@@ -13,6 +13,7 @@ from peakfn.certificates import (check_claim1, check_claim2, check_eps_condition
                                  check_first_shell, check_lemma,
                                  check_schedule_identities)
 from peakfn.enclosure import Enclosure
+from peakfn.errors import InvalidParameterError
 from peakfn.hypothesis import (HypothesisConstants, eps_exponent_sides,
                                rel_margin, strictly_less)
 
@@ -65,19 +66,17 @@ def test_eps_condition_dual_route(ref_constants):
         got = eps_exponent_sides(c.alpha, c.s, c.t, c.A, c.M, c.p, c.q, m)
         assert got == pytest.approx((lhs, rhs), rel=1e-13, abs=0.0)
         worst = min(worst, (rhs - lhs) / max(abs(lhs), abs(rhs)))
-    rec = check_eps_condition(ref_constants, (3, 120))
+    rec = check_eps_condition(ref_constants, 120)
     assert rec["passed"]
     assert rec["details"]["tail_certificate"]["passed"]
     assert rec["min_rel_margin"] == pytest.approx(worst, rel=1e-12)
-    with pytest.raises(ValueError):
-        check_eps_condition(ref_constants, (2, 120))
 
 
 def test_eps_tail_fails_without_exponent_gap(ref_constants):
     # q = 1 - p closes the gap the tail proof needs (and puts m* at 1/0)
     bad = Constants.from_dict({**ref_constants.to_dict(),
                                "q": 1.0 - ref_constants.p})
-    rec = check_eps_condition(bad, (3, 120))
+    rec = check_eps_condition(bad, 120)
     tail = rec["details"]["tail_certificate"]
     assert not tail["exponent_ok"] and tail["m_star"] is None
     assert not tail["passed"] and not rec["passed"]
@@ -165,13 +164,11 @@ def test_claim1_m1_sides(engine):
 
 
 def test_claim2_frozen_margin(engine):
-    rec = check_claim2(engine, (2, 120))
+    rec = check_claim2(engine, 120)
     assert rec["passed"]
     assert rec["argmin_m"] == 3
     assert rec["min_rel_margin"] == pytest.approx(0.9981672559914475,
                                                   rel=1e-6)
-    with pytest.raises(ValueError):
-        check_claim2(engine, (1, 120))
 
 
 def test_lemma_battery(engine):
@@ -192,5 +189,5 @@ def test_claim1_fails_for_small_M(ref_constants):
 
 
 def test_run_all_rejects_tiny_m_max(ref_constants):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
         run_all(WeightEngine(ref_constants), m_max=2)

@@ -115,21 +115,46 @@ COMMANDS = ["params", "certify", "build", "eval", "verify"]
 
 
 # quad_rel_tol: the quadrature width is fixed inside the kernel; out: the
-# report path is the --out flag, and the key was never read
+# report path is the --out flag, and the key was never read; N, grid and
+# series: the head length, the grid and the series path are the flags
+# --terms, --grid and --series, each set in one place
 @pytest.mark.parametrize("key,value,command", [
     *(pytest.param("quad_rel_tol", 1e-10, c, id=c) for c in COMMANDS),
     *(pytest.param("out", "cfgout.json", c, id=f"out-{c}")
       for c in COMMANDS),
+    *(pytest.param(key, value, c, id=f"{key}-{c}") for c in COMMANDS
+      for key, value in (("N", 100), ("grid", "log:1e-30:1:500"),
+                         ("series", "s.json"))),
 ])
 def test_removed_quad_rel_tol_key(tmp_path, capsys, monkeypatch, key, value,
                                   command):
     monkeypatch.chdir(tmp_path)
-    p = write_cfg(tmp_path, **{key: value}, series=str(tmp_path / "s.json"))
+    p = write_cfg(tmp_path, **{key: value})
     assert cli.main([command, "--config", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unknown keys: [{key!r}]" in captured.err
     assert not (tmp_path / "cfgout.json").exists()
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["params", "--m-max", "2"], {"M": 4}),
+    (["params", "--m-max", "2"], {}),
+    (["params", "--m-max", "0"], {}),
+    (["params", "--m-max=-5"], {"M": 4}),
+    (["certify", "--m-max", "2"], {}),
+    (["params"], {"m_max": 2}),
+    (["certify"], {"m_max": 0}),
+], ids=["params-M", "params", "params-0", "params-negative-M", "certify",
+        "config-params", "config-certify"])
+def test_m_max_below_3_refused(tmp_path, capsys, argv, config):
+    # the flag and the config key meet the same rule where the range is
+    # read: an empty range [3, 2] is no check, and m = 0 or -5 is no index
+    p = write_cfg(tmp_path, **config)
+    assert cli.main(argv + ["--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "m_max must be at least 3" in captured.err
 
 
 def test_usage_errors_exit_1(cfg_path):

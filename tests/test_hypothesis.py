@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peakfn import (Constants, HypothesisConstants, InfeasibleParametersError,
-                    InvalidHypothesisError, adjust_C, adjust_t, choose_D,
-                    choose_L, choose_M, derive_constants, derive_pq)
+                    InvalidHypothesisError, InvalidParameterError, adjust_C,
+                    adjust_t, choose_D, choose_L, choose_M, derive_constants,
+                    derive_pq)
 from peakfn._kernels import choose_l_sweep
 from peakfn.hypothesis import (L_CANDIDATE, P_GRID, bracket_certificate,
                                eps_condition_report, eps_exponent_sides,
@@ -79,6 +80,16 @@ def test_choose_M_infeasible_reported():
     with pytest.raises(InfeasibleParametersError) as exc_info:
         choose_M(h, m_check=30)
     assert exc_info.value.best_margin < 0.0
+
+
+@pytest.mark.parametrize("m_check", [2, 0, -5])
+def test_m_max_below_3_refused_where_the_range_is_read(m_check):
+    # [3, 2] is an empty range, and 0 or -5 would take a power of -1;
+    # choose_M and an override of M both reach this one check
+    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
+        choose_M(REF, m_check=m_check)
+    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
+        derive_constants(REF, M=4.0, m_check=m_check)
 
 
 def test_choose_L_ref():

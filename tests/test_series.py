@@ -187,8 +187,9 @@ def test_verify_peak_report(ref_series):
     assert far and all(abs(pp["margin"] - 0.5) < 1e-3 for pp in far)
 
 
-def test_verify_peak_grid_spec_tuple(ref_series):
-    rep = ref_series.verify_peak(("log", 1e-6, 1.0, 50))
+def test_verify_peak_small_log_grid(ref_series):
+    rep = ref_series.verify_peak(
+        make_grid(ref_series.family, "log", 1e-6, 1.0, 50))
     assert rep["passed"] and rep["points"] == 50
 
 
@@ -224,7 +225,7 @@ def test_build_holds_the_certified_weights(ref_constants, monkeypatch):
 def test_round_trip_is_bit_identical(ref_series, tmp_path):
     path = tmp_path / "series.json"
     save_series(ref_series, path)
-    again = load_series(path)
+    again = load_series(path, ref_series.family)
     assert again.consts == ref_series.consts
     assert again.n_terms == ref_series.n_terms
     assert again.sigma_lo == ref_series.sigma_lo
@@ -250,18 +251,78 @@ def test_save_format_stable(ref_series, tmp_path):
     assert payload["family"] == "synthetic"
 
 
-def test_load_ignores_old_quad_rel_tol(ref_series, tmp_path):
-    # files written before the bracket quadrature carry quad_rel_tol
-    path = tmp_path / "old.json"
+SERIES_KEYS = ["format", "family", "constants", "n_terms", "sigma_head",
+               "sigma_prefix_head", "tail_after_head", "normalizer",
+               "log_inv_r", "log_inv_eps"]
+
+
+def _change(payload, key):
+    """Change one top-level key of a series file, in place: a constant,
+    an entry or an end goes one ulp up; quad_rel_tol is added."""
+    value = payload.get(key)
+    if key == "quad_rel_tol":
+        payload[key] = 1e-10
+    elif key == "format":
+        payload[key] = "peakfn-series/2"
+    elif key == "family":
+        payload[key] = "disk-exp"
+    elif key == "constants":
+        value["alpha"] = math.nextafter(value["alpha"], math.inf)
+    elif key == "n_terms":
+        payload[key] = value - 1
+    elif key == "sigma_head":
+        value[0][1] = math.nextafter(value[0][1], math.inf)
+    elif key in ("log_inv_r", "log_inv_eps"):
+        value[0] = math.nextafter(value[0], math.inf)
+    else:
+        value[1] = math.nextafter(value[1], math.inf)
+
+
+# quad_rel_tol: files written before the bracket quadrature carried it
+@pytest.mark.parametrize("key", [None, *SERIES_KEYS, "quad_rel_tol"])
+def test_load_refuses_any_changed_key(ref_series, tmp_path, key):
+    # the file build wrote loads; one change to any key refuses it
+    path = tmp_path / "series.json"
     save_series(ref_series, path)
     payload = json.loads(path.read_text())
-    assert "quad_rel_tol" not in payload
-    payload["quad_rel_tol"] = 1e-10
+    assert sorted(payload) == sorted(SERIES_KEYS)
+    if key is None:
+        again = load_series(path, ref_series.family)
+        assert (again.sigma_lo, again.sigma_hi, again.normalizer) == (
+            ref_series.sigma_lo, ref_series.sigma_hi, ref_series.normalizer)
+        return
+    _change(payload, key)
     path.write_text(json.dumps(payload))
-    again = load_series(path)
-    assert again.sigma_lo == ref_series.sigma_lo
-    assert again.sigma_hi == ref_series.sigma_hi
-    assert again.normalizer == ref_series.normalizer
+    with pytest.raises(ConfigError):
+        load_series(path, ref_series.family)
+
+
+@pytest.mark.parametrize("edit,named", [
+    ({"family": "disk-exp"},
+     "is for family 'disk-exp', the config names 'synthetic'"),
+    ({"alpha": 0.9}, "other constants than the config's: alpha differ"),
+    ({"M": 1.01}, "other constants than the config's: M differ"),
+], ids=["family", "alpha", "M-failing-the-battery"])
+def test_load_refuses_a_mismatch_before_rebuild(ref_series, tmp_path,
+                                                monkeypatch, edit, named):
+    # the family and the constants come from the caller; a file for other
+    # ones is refused without a rebuild, even one whose constants would
+    # fail the battery
+    path = tmp_path / "series.json"
+    save_series(ref_series, path)
+    payload = json.loads(path.read_text())
+    if "family" in edit:
+        payload.update(edit)
+    else:
+        payload["constants"].update(edit)
+    path.write_text(json.dumps(payload))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran on a mismatched file")
+
+    monkeypatch.setattr(peakfn.series, "build", no_build)
+    with pytest.raises(ConfigError, match=named):
+        load_series(path, ref_series.family)
 
 
 @pytest.mark.parametrize("tamper,named", [
@@ -285,43 +346,47 @@ def test_load_refuses_tampered_head(ref_series, tmp_path, tamper, named):
         payload["n_terms"] = 99
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=named):
-        load_series(path)
+        load_series(path, ref_series.family)
 
 
-def test_load_rejects_malformed(tmp_path):
+def test_load_rejects_malformed(ref_series, tmp_path):
+    fam = ref_series.family
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
-        load_series(bad)
+        load_series(bad, fam)
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps({"format": "other/9"}))
     with pytest.raises(ConfigError):
-        load_series(wrong)
+        load_series(wrong, fam)
     with pytest.raises(ConfigError):
-        load_series(tmp_path / "missing.json")
+        load_series(tmp_path / "missing.json", fam)
 
 
-@pytest.mark.parametrize("edit", [
-    {"family": "nonesuch"},
-    {"n_terms": "many"},
-    {"constants": {"alpha": 0.5}},
-    # p = 0 divides by zero in the schedule's power coefficient
-    {"p": 0.0},
+@pytest.mark.parametrize("edit,named", [
+    ({"family": "nonesuch"}, "is for family 'nonesuch'"),
+    ({"n_terms": "many"}, "malformed series file .*: n_terms must be a "
+                          "positive integer"),
+    ({"constants": {"alpha": 0.5}}, "s, t, A, C, D, M, p, q, L, k differ"),
+    # p = 0 would divide by zero in the schedule's power coefficient
+    ({"p": 0.0}, ": p differ"),
     # outside the hypothesis range (0, 1]; sigma does not depend on s, so
-    # the rebuild alone matches the file
-    {"s": 2.0},
-], ids=["family", "n_terms", "constants", "p-zero", "s-out-of-range"])
-def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit):
+    # a rebuild from the file's constants would match the file
+    ({"s": 2.0}, ": s differ"),
+    ({"z": 1.0}, ": z differ"),
+], ids=["family", "n_terms", "constants", "p-zero", "s-out-of-range",
+        "extra-constant"])
+def test_load_rejects_malformed_inputs(ref_series, tmp_path, edit, named):
     path = tmp_path / "series.json"
     save_series(ref_series, path)
     payload = json.loads(path.read_text())
-    if "p" in edit or "s" in edit:
+    if set(edit) <= {"p", "s", "z"}:
         payload["constants"].update(edit)
     else:
         payload.update(edit)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="malformed series file"):
-        load_series(path)
+    with pytest.raises(ConfigError, match=named):
+        load_series(path, ref_series.family)
 
 
 @pytest.mark.parametrize("edit,named", [
@@ -354,7 +419,7 @@ def test_load_checks_head_shape_before_rebuild(ref_series, tmp_path,
 
     monkeypatch.setattr(peakfn.series, "build", no_build)
     with pytest.raises(ConfigError, match=f"malformed series file .*{named}"):
-        load_series(path)
+        load_series(path, ref_series.family)
 
 
 @pytest.fixture(scope="module")
@@ -382,22 +447,23 @@ def test_load_refuses_one_ulp_at_the_end_of_the_head(series_1000, tmp_path,
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=f"does not match the rebuild from "
                                           f"its constants: {key} differ"):
-        load_series(path)
+        load_series(path, series_1000.family)
 
 
 @pytest.mark.parametrize("name,factor", [("p", 0.9), ("q", 0.99), ("k", 0.5)])
 def test_load_refuses_underived_constants(ref_constants, tmp_path, name,
                                           factor):
-    # the file matches its rebuild and the battery passes, but the tail
+    # the file matches its own rebuild and the battery passes, but the tail
     # bracket and the claim-1 proof assume p, q and k derived from t, M and
-    # alpha (Mk = (1-alpha)/2)
+    # alpha (Mk = (1-alpha)/2); the constants come from the caller's family,
+    # which derives them, so the file is refused as built from others
     bad = dataclasses.replace(
         ref_constants, **{name: getattr(ref_constants, name) * factor})
     path = tmp_path / "series.json"
     save_series(build(synthetic_family(bad), n_terms=20), path)
-    with pytest.raises(ConfigError, match=f"malformed series file .*: "
-                                          f"{name} not derived"):
-        load_series(path)
+    with pytest.raises(ConfigError, match=f"other constants than the "
+                                          f"config's: {name} differ"):
+        load_series(path, synthetic_family(ref_constants))
 
 
 @pytest.fixture(scope="module")
@@ -422,7 +488,8 @@ def test_disk_evaluate_peak_and_interior(disk_series):
 
 
 def test_disk_verify_small_grid(disk_series):
-    rep = disk_series.verify_peak(("log", 1e-8, 2.0, 120))
+    rep = disk_series.verify_peak(
+        make_grid(disk_series.family, "log", 1e-8, 2.0, 120))
     assert rep["passed"]
     assert rep["max_abs_hi"] < 1.0
     kinds = {pp["case"] for pp in rep["per_point"]}
@@ -433,7 +500,7 @@ def test_disk_verify_small_grid(disk_series):
 def test_disk_round_trip(disk_series, tmp_path):
     path = tmp_path / "disk.json"
     save_series(disk_series, path)
-    again = load_series(path)
+    again = load_series(path, disk_series.family)
     for delta in (-0.5 + 0.5j, 0j, -0.01 + 0.0j):
         a, b = disk_series.evaluate(delta), again.evaluate(delta)
         assert (a.F.re, a.F.im) == (b.F.re, b.F.im)
