@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import hypothesis as hyp
 # unused here; kept because perfbench's tracer wraps the name in this module
 from ._kernels import radius_bound_sweep  # noqa: F401
+from .enclosure import down, up
 from .hypothesis import GUARD, M_MAX, Constants
 from .schedule import Schedule
 from .weights import WeightEngine
@@ -67,18 +68,18 @@ def check_first_shell(consts: Constants) -> dict:
     }
 
 
-def check_eps_condition(consts: Constants, m_max: int = M_MAX) -> dict:
+def check_eps_condition(consts: Constants) -> dict:
     """Neighborhood-shrink exponent inequality for every m >= 3.
 
-    The record is the chooser's own report: the head check on [3, m_max]
-    and the tail proof that extends it to all m >= m_max.
+    The record is the chooser's own report: the head check on [3, M_MAX]
+    and the tail proof that extends it to all m >= M_MAX.
     """
     rep = hyp.eps_condition_report(consts.alpha, consts.s, consts.t, consts.A,
-                                   consts.M, consts.p, consts.q, m_max)
+                                   consts.M, consts.p, consts.q, M_MAX)
     return {
         "name": "eps-condition",
-        "range": (f"m in [3, {m_max}] plus tail certificate for all "
-                  f"m >= {m_max}"),
+        "range": (f"m in [3, {M_MAX}] plus tail certificate for all "
+                  f"m >= {M_MAX}"),
         "min_rel_margin": rep["min_rel_margin"],
         "argmin_m": rep["argmin_m"],
         "guard": GUARD,
@@ -119,40 +120,66 @@ def check_claim1(consts: Constants) -> dict:
     }
 
 
-def check_claim2(engine: WeightEngine, m_max: int = M_MAX) -> dict:
-    """Tail-dominates-head inequality for m in [2, m_max]:
-    mk * tail(m) > eps_{m-1}^s * sum_{j<m} sigma_j, conservative sides.
+def check_claim2(engine: WeightEngine) -> dict:
+    """Tail-dominates-head inequality mk * tail(m) > eps_{m-1}^s *
+    sum_{j<m} sigma_j, proved for every m >= 2.
 
-    One pass over float lists: log(1/eps_{m-1}) from the schedule, the
-    prefix sums' upper ends and the tails' lower ends from the engine, the
-    very floats of log_inv_eps(m-1), sigma_prefix(m-1).hi and tail(m).lo.
+    With T = tail(0).hi >= sum_j sigma_j, the partial-sum bracket
+    log(1/eps_{m-1}) > log(1/D) + log(1/A) (m^p - 1)/p, mk * tail(m) >=
+    g(m+1), and psi(tau)^(-t) <= ca^(-t) tau^(-e) for tau >= 1, e = (1+p)t,
+    which gives I(m+1) <= I_1 + ca^(-t) ((m+1)^(1-e) - 1)/(1-e) with
+    I_1 = psi(1)^(-t), the log of the right side over the left is below
+    C0 - d(m):
+
+        C0   = log T - s log(1/D) + c2 + k I_1 - c1,
+        d(m) = c2 m^p - c1 (m+1)^(1-e),
+        c2   = s log(1/A)/p,   c1 = k ca^(-t)/(1-e).
+
+    d'(m) > 0 iff s log(1/A) R(m) > k ca^(-t), R(m) = (m+1)^e / m^(1-p),
+    and given 1-p < e < 1, R falls and then rises, with its minimum at
+    m* = (1-p)/(e-(1-p)).  So the premises, each with the guard band and
+    with their margins in this order, are the bracket certificate, e < 1,
+    e > 1-p, the slope test at max(2, m*) and d(2) > C0.  e is the float
+    product two ulps down, as any e at or below the exact one keeps the
+    bound on I; T, I_1 and ca^(-t) are upper ends, and d(2) > C0 is
+    compared as two sums of nonnegative terms, so the guard band covers
+    their rounding.  The record reads sigma_1, g(1) and psi(1)^(-t) only.
     """
     consts = engine.consts
-    neg_s, mk = -consts.s, consts.mk
-    top = max(m_max, 1)   # an empty range reads empty lists
-    lies = engine.schedule.log_inv_epsilons(top - 1)
-    heads = engine.sigma_prefix_bounds(top - 1)[1][1:]
-    tails = engine.tail_lower_ends(2, top)
-    min_rel = math.inf
-    argmin = 0
-    ok = True
-    for m, lie, head, tail in zip(range(2, m_max + 1), lies, heads, tails):
-        rhs = math.exp(neg_s * lie) * head
-        lhs = mk * tail
-        r = hyp.rel_margin(rhs, lhs)
-        if r < min_rel:
-            min_rel = r
-            argmin = m
-        if not hyp.strictly_less(rhs, lhs):
-            ok = False
+    s, t, p, k = consts.s, consts.t, consts.p, consts.k
+    s_lia = s * consts.log_inv_A
+    e = down((1.0 + p) * t)
+    try:
+        ca_negt = up(math.pow(engine.schedule.psi_power_coefficient, -t))
+    except (OverflowError, ValueError):   # past the float range, or ca = 0
+        ca_negt = math.inf
+    brackets = hyp.bracket_certificate(p)
+    margins = [brackets["rel_margin"], hyp.rel_margin(e, 1.0),
+               hyp.rel_margin(1.0 - p, e)]
+    ok = (brackets["passed"] and hyp.strictly_less(e, 1.0)
+          and hyp.strictly_less(1.0 - p, e) and math.isfinite(ca_negt))
+    m_star = sides = None
+    if ok:
+        m_star = (1.0 - p) / (e - (1.0 - p))
+        slope_margin, slope_ok = hyp.slope_test(k * ca_negt, s_lia, e, p,
+                                                max(2.0, m_star), 0.0)
+        c1, c2 = k * ca_negt / (1.0 - e), s_lia / p
+        log_t = math.log(engine.tail(0).hi)
+        # d(2) > C0 with every term on the side where it is nonnegative
+        sides = [c2 * math.pow(2.0, p) + c1 + s * consts.log_inv_D
+                 + max(-log_t, 0.0),
+                 c1 * math.pow(3.0, 1.0 - e) + c2
+                 + k * engine.integral_I(1.0).hi + max(log_t, 0.0)]
+        margins += [slope_margin, hyp.rel_margin(sides[1], sides[0])]
+        ok = slope_ok and hyp.strictly_less(sides[1], sides[0])
     return {
         "name": "claim-2",
-        "range": f"m in [2, {m_max}]",
-        "min_rel_margin": min_rel,
-        "argmin_m": argmin,
+        "range": "all m >= 2",
+        "min_rel_margin": min(margins),
         "guard": GUARD,
         "passed": bool(ok),
-        "details": {"sides": "tail at enclosure.lo, head at enclosure.hi"},
+        "details": {"e": e, "m_star": m_star, "d2_sides": sides,
+                    "premise_rel_margins": margins},
     }
 
 
@@ -219,20 +246,15 @@ def check_schedule_identities(sched: Schedule, m_equiv: int = 200) -> list:
     return [rec_equiv, rec_bracket, rec_radius]
 
 
-def run_all(engine: WeightEngine, m_max: int = M_MAX) -> CertificateReport:
-    """Full certificate battery for the constants of one engine; the sweeps
-    fill its caches, so a series assembled from it holds the certified
-    weights.  An m_max below 3 is refused (InvalidParameterError) by the
-    shrink-inequality check."""
+def run_all(engine: WeightEngine) -> CertificateReport:
+    """Full certificate battery for the constants of one engine."""
     consts = engine.consts
-    # claim 2 reads sigma and g up to m_max + 1: one batch
-    engine.reserve(m_max + 1)
     report = CertificateReport(constants=consts.to_dict())
     report.record(check_first_shell(consts))
-    report.record(check_eps_condition(consts, m_max))
+    report.record(check_eps_condition(consts))
     for rec in check_schedule_identities(engine.schedule):
         report.record(rec)
     report.record(check_claim1(consts))
-    report.record(check_claim2(engine, m_max))
+    report.record(check_claim2(engine))
     report.record(check_lemma(engine))
     return report

@@ -18,7 +18,7 @@ from . import certificates, families, series as series_mod
 from .config import Config, load_config, parse_grid
 from .errors import (BuildRefusedError, ConfigError, InfeasibleParametersError,
                      PeakFnError)
-from .hypothesis import GUARD, HypothesisConstants, derive_constants
+from .hypothesis import HypothesisConstants, derive_constants
 from .weights import WeightEngine
 
 # what build reads where --terms is not given, and eval and verify where
@@ -42,16 +42,16 @@ def _json_text(obj) -> str:
 def _derive_from_config(cfg: Config):
     h = HypothesisConstants(alpha=cfg.alpha, s=cfg.s, t=cfg.t,
                             A=cfg.A, C=cfg.C)
-    return derive_constants(h, D=cfg.D, M=cfg.M, L=cfg.L, m_check=cfg.m_max)
+    return derive_constants(h, D=cfg.D, M=cfg.M, L=cfg.L)
 
 
-def cmd_params(cfg: Config, m_max, out) -> int:
-    if m_max is not None:
-        cfg = Config(**{**cfg.__dict__, "m_max": int(m_max)})
+def cmd_params(cfg: Config, out) -> int:
     consts, report = _derive_from_config(cfg)
-    shell_ok = report["first_shell_margin"] > GUARD
-    eps_ok = report["eps_condition"]["passed"]
-    passed = bool(shell_ok and eps_ok)
+    # every certificate the report carries, the first shell by certify's
+    # own relative test
+    passed = bool(certificates.check_first_shell(consts)["passed"]
+                  and report["eps_condition"]["passed"]
+                  and report["L_certificate"]["passed"])
     payload = {
         "command": "params",
         "constants": consts.to_dict(),
@@ -62,12 +62,10 @@ def cmd_params(cfg: Config, m_max, out) -> int:
     return 0 if passed else 2
 
 
-def cmd_certify(cfg: Config, m_max, out) -> int:
-    if m_max is None:
-        m_max = cfg.m_max
+def cmd_certify(cfg: Config, out) -> int:
     consts, _ = _derive_from_config(cfg)
-    report = certificates.run_all(WeightEngine(consts), m_max=int(m_max))
-    payload = {"command": "certify", "m_max": int(m_max)}
+    report = certificates.run_all(WeightEngine(consts))
+    payload = {"command": "certify"}
     payload.update(report.to_dict())
     _emit(_json_text(payload), out)
     return 0 if report.passed else 2
@@ -79,7 +77,7 @@ def cmd_build(cfg: Config, terms, series, out) -> int:
     consts, _ = _derive_from_config(cfg)
     fam = families.family_by_name(cfg.family, consts)
     n = DEFAULT_TERMS if terms is None else int(terms)
-    built = series_mod.build(fam, n_terms=n, m_max=cfg.m_max)
+    built = series_mod.build(fam, n_terms=n)
     series_mod.save_series(built, series)
     payload = {
         "command": "build",
@@ -101,7 +99,7 @@ def _load_for_grid(cfg: Config, series_path, grid_arg):
     grid = parse_grid(grid_arg or DEFAULT_GRID)
     consts, _ = _derive_from_config(cfg)
     fam = families.family_by_name(cfg.family, consts)
-    ser = series_mod.load_series(series_path, fam, m_max=cfg.m_max)
+    ser = series_mod.load_series(series_path, fam)
     return ser, families.make_grid(fam, *grid)
 
 
@@ -148,12 +146,8 @@ _CONFIG_OUT = {"--config": ("PATH", "JSON config file (required)"),
 _SERIES_IN = ("PATH", "series file produced by build")
 _GRID_DEFAULT = f"grid (default {DEFAULT_GRID})"
 COMMANDS = {
-    "params": (cmd_params, "derive and report constants", {
-        **_CONFIG_OUT,
-        "--m-max": ("INT", "range for the exponent-condition check")}),
-    "certify": (cmd_certify, "run the certificate battery", {
-        **_CONFIG_OUT,
-        "--m-max": ("INT", "upper index for the per-m certificates")}),
+    "params": (cmd_params, "derive and report constants", _CONFIG_OUT),
+    "certify": (cmd_certify, "run the certificate battery", _CONFIG_OUT),
     "build": (cmd_build, "build and save a peak series", {
         **_CONFIG_OUT,
         "--terms": ("INT", f"head length N (default {DEFAULT_TERMS})"),
@@ -196,7 +190,7 @@ def _refuse(command, message):
 
 def parse_args(argv):
     """Read COMMAND [--opt VALUE | --opt=VALUE]...; return the command and
-    its options by name (m_max for --m-max), None where not given."""
+    its options by name (series for --series), None where not given."""
     if not argv:
         _refuse(None, "the following arguments are required: command")
     command, rest = argv[0], argv[1:]
@@ -209,7 +203,7 @@ def parse_args(argv):
         sys.stdout.write(_help(command))
         raise SystemExit(0)
     opts = COMMANDS[command][2]
-    args = {o[2:].replace("-", "_"): None for o in opts}
+    args = {o[2:]: None for o in opts}
     i = 0
     while i < len(rest):
         name, eq, value = rest[i].partition("=")
@@ -222,8 +216,7 @@ def parse_args(argv):
             value = rest[i]
         i += 1
         try:
-            args[name[2:].replace("-", "_")] = (
-                int(value) if opts[name][0] == "INT" else value)
+            args[name[2:]] = int(value) if opts[name][0] == "INT" else value
         except ValueError:
             _refuse(command, f"argument {name}: invalid int value: {value!r}")
     if args["config"] is None:

@@ -1,11 +1,11 @@
 """Config file loading and grid-spec parsing for the command-line tool.
 
 Configs are JSON: five required hypothesis reals, optional derivation
-overrides (D, M, L), the barrier family and the upper end m_max of the
-per-m checks.  They fix the constants and the family and nothing else:
-the head length, the grid and the series path are the flags --terms,
---grid and --series.  Everything downstream is a pure function of the
-config and the flags, which is what makes reruns byte-identical.
+overrides (D, M, L) and the barrier family.  They fix the constants and
+the family and nothing else: the head length, the grid and the series
+path are the flags --terms, --grid and --series.  Everything downstream
+is a pure function of the config and the flags, which is what makes
+reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .hypothesis import M_MAX
 
 GRID_KINDS = ("log", "linear")
 
 REQUIRED_KEYS = ("alpha", "s", "t", "A", "C")
-OPTIONAL_KEYS = ("D", "M", "L", "family", "m_max")
+OPTIONAL_KEYS = ("D", "M", "L", "family")
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class Config:
     M: float | None = None
     L: float | None = None
     family: str = "synthetic"
-    m_max: int = M_MAX
 
 
 def parse_grid(spec: str) -> tuple:
@@ -101,10 +99,4 @@ def load_config(path) -> Config:
         if not isinstance(fam, str):
             raise ConfigError("config key 'family' must be a string")
         kwargs["family"] = fam
-    if "m_max" in data:
-        mm = data["m_max"]
-        # the derivation refuses one below 3, as it does --m-max
-        if isinstance(mm, bool) or not isinstance(mm, int):
-            raise ConfigError("config key 'm_max' must be an integer")
-        kwargs["m_max"] = mm
     return Config(**kwargs)

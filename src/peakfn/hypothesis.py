@@ -33,8 +33,9 @@ M_CAP_FACTOR = 2.0 ** 20
 # radius-bound constant; choose_L proves L >= 3 suffices for every p in (0,1)
 L_CANDIDATE = 5.0
 
-# default upper end of the per-m checks: the shrink inequality on
-# [3, M_MAX] and claim 2 on [2, M_MAX]; a config's m_max or --m-max moves it
+# end of the shrink inequality's per-m head check on [3, M_MAX]; its tail
+# certificate covers every m >= M_MAX.  The accepted M, and so every report,
+# depends on it
 M_MAX = 120
 
 # p values on which the tests compare the L bound with a direct sweep
@@ -231,6 +232,20 @@ def eps_exponent_sides(alpha: float, s: float, t: float, A: float,
             c2 * (math.pow(m - 1.0, p) - 1.0))
 
 
+def slope_test(lo: float, coeff: float, a: float, p: float, m0: float,
+               shift: float) -> tuple:
+    """Slope premise of a closed-form tail proof: coeff * R(m0) > lo with
+    the guard band, R(m) = (m+1)^a / (m-shift)^(1-p).
+
+    Given a > 1-p, R falls and then rises, with its minimum at
+    m* = (1-p+a*shift)/(a-(1-p)); the caller passes m0 = max(start, m*), so
+    the test bounds coeff*R from below on [start, inf).  Returns the
+    relative margin and the verdict.
+    """
+    hi = coeff * (math.pow(m0 + 1.0, a) / math.pow(m0 - shift, 1.0 - p))
+    return rel_margin(lo, hi), strictly_less(lo, hi)
+
+
 def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
                           M: float, p: float, q: float, m_check: int) -> dict:
     """Tail proof: rhs - lhs of the shrink inequality increases past m_check.
@@ -238,7 +253,7 @@ def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
     With c1, c2 the two exponent coefficients, rhs - lhs equals
     d(m) + c1*2^(1-q) - c2 with d(m) = c2*(m-1)^p - c1*(m+1)^(1-q), and
     d'(m) > 0 iff c2*p*R(m) > c1*(1-q) with R(m) = (m+1)^q / (m-1)^(1-p).
-    Given the gap p > 1-q, log R falls and then rises, with its minimum at
+    Given the gap p > 1-q, R falls and then rises, with its minimum at
     m* = (q+1-p)/(q-(1-p)); so the slope test at m0 = max(m_check, m*)
     proves d' > 0 on [m_check, inf), and the head check at m_check then
     covers every larger m.  d(m_check) > 0 is also required: it is not
@@ -254,10 +269,8 @@ def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
     if exp_ok:
         m_star = (q + 1.0 - p) / gap
         m0 = max(float(m_check), m_star)
-        r0 = math.pow(m0 + 1.0, q) / math.pow(m0 - 1.0, 1.0 - p)
-        slope_lo, slope_hi = c1 * (1.0 - q), c2 * p * r0
-        slope_margin = rel_margin(slope_lo, slope_hi)
-        increasing_ok = strictly_less(slope_lo, slope_hi)
+        slope_margin, increasing_ok = slope_test(c1 * (1.0 - q), c2 * p, q,
+                                                 p, m0, 1.0)
     return {
         "exponent_gap": gap,
         "exponent_ok": exp_ok,
@@ -312,12 +325,11 @@ def eps_condition_report(alpha: float, s: float, t: float, A: float,
     proof that extends it to every m >= m_check.
 
     The inequality is computed once per set of arguments and process; each
-    call gets its own copy of the report.  Every m_max a config or the
-    command line sets reaches the checks here, so this is where one below 3
-    is refused."""
+    call gets its own copy of the report.  An m_check below 3 is refused:
+    [3, 2] is an empty range, and m - 1 <= 0 is no base of a power."""
     if m_check < 3:
         raise InvalidParameterError(
-            f"m_max must be at least 3, got {m_check!r}")
+            f"m_check must be at least 3, got {m_check!r}")
     (rows, min_rel, argmin, ok), tail = _eps_condition(
         alpha, s, t, A, M, p, q, m_check)
     tail = dict(tail)
@@ -332,23 +344,24 @@ def eps_condition_report(alpha: float, s: float, t: float, A: float,
     }
 
 
-def choose_M(h: HypothesisConstants,
-             m_check: int = M_MAX) -> tuple[float, dict]:
+def choose_M(h: HypothesisConstants) -> tuple[float, dict]:
     """Smallest M on a geometric grid satisfying the shrink inequality.
 
     Candidates are max(C, 1+DELTA_M) * 2^i starting one doubling above the
     base (the base itself sits too close to the regime boundary to leave
-    useful margin).  Each candidate is checked on [3, m_check] plus the
-    documented tail certificate.
+    useful margin), up to the cap and while they are finite.  Each
+    candidate is checked on [3, M_MAX] plus the documented tail
+    certificate.
     """
     base = max(h.C, 1.0 + DELTA_M)
     cap = M_CAP_FACTOR * max(h.C, 1.0)
     candidate = 2.0 * base
     best_margin = -math.inf
-    while candidate <= cap:
+    # past about 9e307 the doubling overflows to inf, which no cap stops
+    while candidate <= cap and math.isfinite(candidate):
         p, q = derive_pq(h.t, candidate)
         report = eps_condition_report(h.alpha, h.s, h.t, h.A,
-                                      candidate, p, q, m_check)
+                                      candidate, p, q, M_MAX)
         if report["passed"]:
             return candidate, report
         if report["min_rel_margin"] > best_margin:
@@ -406,8 +419,7 @@ def bracket_certificate(p: float) -> dict:
 def derive_constants(h: HypothesisConstants,
                      D: float | None = None,
                      M: float | None = None,
-                     L: float | None = None,
-                     m_check: int = M_MAX) -> tuple[Constants, dict]:
+                     L: float | None = None) -> tuple[Constants, dict]:
     """Full derivation pipeline; overrides are recorded, not re-judged.
 
     Overridden D/M/L values are carried into the Constants as-is; the
@@ -429,7 +441,7 @@ def derive_constants(h: HypothesisConstants,
     report["first_shell_margin"] = first_shell_margin(hn.alpha, hn.s, hn.C, D)
 
     if M is None:
-        M, eps_report = choose_M(hn, m_check=m_check)
+        M, eps_report = choose_M(hn)
         report["M_policy"] = "derived"
     else:
         M = float(M)
@@ -438,7 +450,7 @@ def derive_constants(h: HypothesisConstants,
             raise InvalidParameterError(f"M must exceed 1, got {M!r}")
         p_tmp, q_tmp = derive_pq(hn.t, M)
         eps_report = eps_condition_report(hn.alpha, hn.s, hn.t, hn.A,
-                                          M, p_tmp, q_tmp, m_check)
+                                          M, p_tmp, q_tmp, M_MAX)
     report["eps_condition"] = eps_report
 
     p, q = derive_pq(hn.t, M)

@@ -22,7 +22,7 @@ from . import certificates
 from .enclosure import (ComplexEnclosure, Enclosure, abs_box, add_real_box,
                         div_box, widen_box)
 from .errors import BuildRefusedError, ConfigError, DomainError
-from .hypothesis import GUARD, M_MAX, Constants
+from .hypothesis import GUARD, Constants
 from .families import BarrierFamily
 from .weights import WeightEngine
 
@@ -316,20 +316,18 @@ class PeakSeries:
         }
 
 
-def build(fam: BarrierFamily, n_terms: int = 100,
-          m_max: int = M_MAX) -> PeakSeries:
+def build(fam: BarrierFamily, n_terms: int = 100) -> PeakSeries:
     """The series of fam and its constants with an N-term head, assembled
     only after the certificate battery and the family's certificate pass.
 
-    One WeightEngine serves both: the battery fills its caches and the
-    head weights are read back from them, so the series holds the very
-    sigma_j the battery certified.
+    One WeightEngine serves both: the battery reads sigma_1 and g(1) from
+    its caches, and the head weights are read from the same caches.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     consts = fam.consts
     engine = WeightEngine(consts)
-    report = certificates.run_all(engine, m_max=m_max)
+    report = certificates.run_all(engine)
     if not report.passed:
         raise BuildRefusedError(
             "certificate battery failed: " + ", ".join(report.failing()))
@@ -418,17 +416,17 @@ def save_series(series: PeakSeries, path) -> None:
         fh.write("\n")
 
 
-def load_series(path, fam: BarrierFamily, m_max: int = M_MAX) -> PeakSeries:
+def load_series(path, fam: BarrierFamily) -> PeakSeries:
     """Rebuild fam's series at the head length a file names, and refuse
     the file unless it holds exactly the rebuilt numbers.
 
     The file is an input only through n_terms.  Before anything is
     rebuilt, its family and constants must be fam's, and its head arrays
     must hold n_terms entries.  The rebuild reruns the certificate battery
-    (up to m_max) and the family certificate, so constants that fail
-    either are refused as build refuses them (BuildRefusedError).  Every
-    key in the file must equal the rebuild's, and no other key may appear,
-    so a file written where libm rounds differently is refused.
+    and the family certificate, so constants that fail either are refused
+    as build refuses them (BuildRefusedError).  Every key in the file must
+    equal the rebuild's, and no other key may appear, so a file written
+    where libm rounds differently is refused.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -465,7 +463,7 @@ def load_series(path, fam: BarrierFamily, m_max: int = M_MAX) -> PeakSeries:
         raise ConfigError(f"malformed series file {path!r}: "
                           f"{', '.join(short)} must hold n_terms = {n} "
                           "entries")
-    series = build(fam, n, m_max=m_max)
+    series = build(fam, n)
     rebuilt = _payload(series)
     # no rebuilt value is None, so a key missing from the file differs
     differ = sorted(k for k in rebuilt.keys() | payload.keys()

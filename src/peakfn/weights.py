@@ -186,14 +186,6 @@ class WeightEngine:
         self.reserve(n)
         return Enclosure(self._pre_lo[n], self._pre_hi[n])
 
-    def sigma_prefix_bounds(self, n: int) -> tuple[list, list]:
-        """Lower and upper ends of sigma_prefix(k) for k = 0..n, as two
-        float lists."""
-        if n < 0:
-            raise InvalidParameterError(f"prefix needs n >= 0, got {n!r}")
-        self.reserve(n)
-        return self._pre_lo[:n + 1], self._pre_hi[:n + 1]
-
     def sigma_range(self, a: int, b: int) -> Enclosure:
         """Enclosure of sum_{j=a..b} sigma_j; zero when the range is empty."""
         if b < a:
@@ -220,20 +212,6 @@ class WeightEngine:
         upper = self.sigma(m2 + 1) + integral
         bracket = Enclosure(integral.lo, upper.hi)
         return head + bracket
-
-    def tail_lower_ends(self, lo: int, hi: int) -> list:
-        """tail(m).lo for m = lo..hi, from one pass over the cache of g.
-
-        The lower end of tail(m)'s bracket is g(m+1)/(M k), and tail adds
-        it to the empty head sum; each step rounds down as Enclosure's
-        quotient by a positive scalar and its sum do.  Once g is cached up
-        to hi + 1, g(m+1) reads the cache, so these are tail's floats.
-        """
-        if lo < 0:
-            raise InvalidParameterError(f"tail needs m >= 0, got {lo!r}")
-        self.reserve(hi + 1)
-        mk = self.consts.mk
-        return [down(0.0 + down(g / mk)) for g in self._g_lo[lo + 1:hi + 2]]
 
     # -- lemma-facing checks ----------------------------------------------
 
@@ -280,9 +258,11 @@ class WeightEngine:
         k = self.consts.k
         one_minus_q = 1.0 - self.consts.q
         measured = k * self._quad_panel(s1, s2).lo
-        minorant = k * self._psi1_negt.lo * \
-            (math.pow(s2, one_minus_q) - math.pow(s1, one_minus_q)) / one_minus_q
-        passed = strictly_less(minorant, measured) and one_minus_q > GUARD
+        # where 1 - q rounds to 0 the premise fails before any division
+        minorant = (k * self._psi1_negt.lo * (math.pow(s2, one_minus_q)
+                    - math.pow(s1, one_minus_q)) / one_minus_q
+                    if one_minus_q > GUARD else None)
+        passed = minorant is not None and strictly_less(minorant, measured)
         return {
             "s1": s1,
             "s2": s2,
@@ -319,10 +299,11 @@ class WeightEngine:
         r_on = self.schedule.psi(x_on) / math.pow(x_on, 1.0 + p)
         a2 = Enclosure.from_libm(math.pow(r_on, t), ulps=A2_ULPS).hi
         a3 = math.pow(self._ca, t)
-        rate = k / (a2 * one_minus_q)
-        a1 = math.exp(rate * math.pow(x_on, one_minus_q))
         passed = (x_on >= 1.0 and self._lid > 0.0 and p > 0.0 and t > 0.0
                   and one_minus_q > GUARD)
+        # where 1 - q rounds to 0 the premise fails before any division
+        a1 = (math.exp(k / (a2 * one_minus_q) * math.pow(x_on, one_minus_q))
+              if one_minus_q > GUARD else None)
         return {
             "x_on": x_on,
             "A1": a1,

@@ -1,7 +1,8 @@
 """The certificate battery's per-index passes as the package computed them
-before they became float-list passes: one Enclosure chain or scalar query
-per index m.  They are the references whose records and floats the
-package's passes must give bit for bit."""
+before they became float-list passes or closed-form proofs: one Enclosure
+chain or scalar query per index m.  They are the references whose records
+and floats the package's passes must give bit for bit, and the sweep that
+claim 2's closed-form record must agree with."""
 
 import math
 
@@ -11,7 +12,8 @@ from peakfn.hypothesis import GUARD, first_shell_margin, strictly_less
 
 
 def check_claim2(engine, m_range=(2, 120)):
-    """certificates.check_claim2 through tail(m) and sigma_prefix(m-1)."""
+    """Claim 2 swept over m_range through tail(m) and sigma_prefix(m-1):
+    the record certificates.check_claim2 gave before its all-m proof."""
     lo, hi = int(m_range[0]), int(m_range[1])
     consts = engine.consts
     sched = engine.schedule

@@ -13,7 +13,6 @@ from peakfn.certificates import (check_claim1, check_claim2, check_eps_condition
                                  check_first_shell, check_lemma,
                                  check_schedule_identities)
 from peakfn.enclosure import Enclosure
-from peakfn.errors import InvalidParameterError
 from peakfn.hypothesis import (HypothesisConstants, eps_exponent_sides,
                                rel_margin, strictly_less)
 
@@ -23,7 +22,7 @@ REF = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=0.5, C=2.0)
 
 @pytest.fixture(scope="module")
 def ref_run(ref_constants):
-    return run_all(WeightEngine(ref_constants), m_max=120)
+    return run_all(WeightEngine(ref_constants))
 
 
 def test_run_all_passes(ref_run):
@@ -66,7 +65,7 @@ def test_eps_condition_dual_route(ref_constants):
         got = eps_exponent_sides(c.alpha, c.s, c.t, c.A, c.M, c.p, c.q, m)
         assert got == pytest.approx((lhs, rhs), rel=1e-13, abs=0.0)
         worst = min(worst, (rhs - lhs) / max(abs(lhs), abs(rhs)))
-    rec = check_eps_condition(ref_constants, 120)
+    rec = check_eps_condition(ref_constants)
     assert rec["passed"]
     assert rec["details"]["tail_certificate"]["passed"]
     assert rec["min_rel_margin"] == pytest.approx(worst, rel=1e-12)
@@ -76,7 +75,7 @@ def test_eps_tail_fails_without_exponent_gap(ref_constants):
     # q = 1 - p closes the gap the tail proof needs (and puts m* at 1/0)
     bad = Constants.from_dict({**ref_constants.to_dict(),
                                "q": 1.0 - ref_constants.p})
-    rec = check_eps_condition(bad, 120)
+    rec = check_eps_condition(bad)
     tail = rec["details"]["tail_certificate"]
     assert not tail["exponent_ok"] and tail["m_star"] is None
     assert not tail["passed"] and not rec["passed"]
@@ -164,11 +163,32 @@ def test_claim1_m1_sides(engine):
 
 
 def test_claim2_frozen_margin(engine):
-    rec = check_claim2(engine, 120)
-    assert rec["passed"]
-    assert rec["argmin_m"] == 3
-    assert rec["min_rel_margin"] == pytest.approx(0.9981672559914475,
-                                                  rel=1e-6)
+    rec = check_claim2(engine)
+    assert rec["passed"] and rec["range"] == "all m >= 2"
+    # e = (1+p)t = 15/16 two ulps down, so the tightest premise is e < 1
+    d = rec["details"]
+    assert d["e"] == math.nextafter(math.nextafter(0.9375, 0.0), 0.0)
+    assert rec["min_rel_margin"] == 1.0 - d["e"]
+    # m* = (1-p)/(e-(1-p)) = 4 on the reference
+    assert d["m_star"] == pytest.approx(4.0, rel=1e-14)
+    # brackets (p = 1/4), e < 1, e > 1-p, the slope test at m*, d(2) > C0
+    assert d["premise_rel_margins"] == pytest.approx(
+        [0.75, 0.0625, 0.2, 0.9907187581859622, 0.24639550262193025],
+        rel=1e-9)
+    assert d["d2_sides"] == pytest.approx([5.764314687838145,
+                                           4.344013473057291], rel=1e-9)
+
+
+def test_claim2_fails_where_ca_to_the_minus_t_overflows():
+    # A one ulp below 1 and L = 1e-300 make psi's power coefficient
+    # subnormal, and ca^(-t) at t = 0.99 lies past the float range: the
+    # record fails instead of raising OverflowError
+    h = HypothesisConstants(alpha=0.5, s=1.0, t=0.99, A=1.0 - 2.0 ** -53,
+                            C=2.0)
+    consts, _ = derive_constants(h, M=4.0, L=1e-300)
+    assert Schedule(consts).psi_power_coefficient < 1e-300
+    rec = check_claim2(WeightEngine(consts))
+    assert not rec["passed"] and rec["details"]["d2_sides"] is None
 
 
 def test_lemma_battery(engine):
@@ -183,11 +203,7 @@ def test_lemma_battery(engine):
 def test_claim1_fails_for_small_M(ref_constants):
     # M = 1.01 makes the per-term cap beat the tail: claim 1 must fail
     consts, _ = derive_constants(REF, M=1.01)
-    report = run_all(WeightEngine(consts), m_max=40)
+    report = run_all(WeightEngine(consts))
     assert not report.passed
     assert "claim-1" in report.failing()
 
-
-def test_run_all_rejects_tiny_m_max(ref_constants):
-    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
-        run_all(WeightEngine(ref_constants), m_max=2)

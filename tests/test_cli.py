@@ -89,7 +89,7 @@ def test_certify_small_L_fails_radius_bound(tmp_path, capsys):
 
 def test_certify_near_unit_m_fails_claim1(tmp_path, capsys):
     p = write_cfg(tmp_path, M=1.01)
-    rc = cli.main(["certify", "--config", str(p), "--m-max", "40"])
+    rc = cli.main(["certify", "--config", str(p)])
     assert rc == 2
     payload = json.loads(capsys.readouterr().out)
     failing = [r["name"] for r in payload["records"] if not r["passed"]]
@@ -117,14 +117,15 @@ COMMANDS = ["params", "certify", "build", "eval", "verify"]
 # quad_rel_tol: the quadrature width is fixed inside the kernel; out: the
 # report path is the --out flag, and the key was never read; N, grid and
 # series: the head length, the grid and the series path are the flags
-# --terms, --grid and --series, each set in one place
+# --terms, --grid and --series, each set in one place; m_max: claim 2 is
+# proved for every m, and the shrink inequality's head range is a constant
 @pytest.mark.parametrize("key,value,command", [
     *(pytest.param("quad_rel_tol", 1e-10, c, id=c) for c in COMMANDS),
     *(pytest.param("out", "cfgout.json", c, id=f"out-{c}")
       for c in COMMANDS),
     *(pytest.param(key, value, c, id=f"{key}-{c}") for c in COMMANDS
       for key, value in (("N", 100), ("grid", "log:1e-30:1:500"),
-                         ("series", "s.json"))),
+                         ("series", "s.json"), ("m_max", 120))),
 ])
 def test_removed_quad_rel_tol_key(tmp_path, capsys, monkeypatch, key, value,
                                   command):
@@ -145,16 +146,25 @@ def test_removed_quad_rel_tol_key(tmp_path, capsys, monkeypatch, key, value,
     (["certify", "--m-max", "2"], {}),
     (["params"], {"m_max": 2}),
     (["certify"], {"m_max": 0}),
+    (["params", "--m-max=40"], {}),
+    (["certify", "--m-max", "400"], {}),
 ], ids=["params-M", "params", "params-0", "params-negative-M", "certify",
-        "config-params", "config-certify"])
+        "config-params", "config-certify", "params-40", "certify-400"])
 def test_m_max_below_3_refused(tmp_path, capsys, argv, config):
-    # the flag and the config key meet the same rule where the range is
-    # read: an empty range [3, 2] is no check, and m = 0 or -5 is no index
+    # m_max is no setting: the flag is an unrecognized argument and the
+    # config key an unknown one, whatever the value, both exit code 1
     p = write_cfg(tmp_path, **config)
-    assert cli.main(argv + ["--config", str(p)]) == 1
+    try:
+        rc = cli.main(argv + ["--config", str(p)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "m_max must be at least 3" in captured.err
+    if "m_max" in config:
+        assert "unknown keys: ['m_max']" in captured.err
+    else:
+        assert "unrecognized argument: --m-max" in captured.err
 
 
 def test_usage_errors_exit_1(cfg_path):
@@ -166,15 +176,15 @@ def test_usage_errors_exit_1(cfg_path):
     assert exc.value.code == 1
 
 
-NONE = dict.fromkeys(["out", "m_max", "terms", "series", "grid"])
+NONE = dict.fromkeys(["out", "terms", "series", "grid"])
 
 
 @pytest.mark.parametrize("argv,command,expect", [
     (["params", "--config", "c.json"], "params", {"config": "c.json"}),
-    (["params", "--m-max=40", "--config=c.json"], "params",
-     {"config": "c.json", "m_max": 40}),
-    (["certify", "--out", "r.json", "--config", "c.json", "--m-max", "7"],
-     "certify", {"config": "c.json", "out": "r.json", "m_max": 7}),
+    (["params", "--out=r.json", "--config=c.json"], "params",
+     {"config": "c.json", "out": "r.json"}),
+    (["certify", "--out", "r.json", "--config", "c.json", "--out", "q.json"],
+     "certify", {"config": "c.json", "out": "q.json"}),
     (["build", "--terms", "5", "--series=s.json", "--config", "c.json",
       "--terms", "80"], "build",
      {"config": "c.json", "terms": 80, "series": "s.json"}),
@@ -213,7 +223,7 @@ def test_accepted_command_lines(argv, command, expect):
     (["build", "--config", "{cfg}", "--terms", "x"],
      "argument --terms: invalid int value: 'x'"),
     (["certify", "--config", "{cfg}", "--m-max=4.5"],
-     "argument --m-max: invalid int value: '4.5'"),
+     "unrecognized argument: --m-max=4.5"),
     (["params", "--conf", "{cfg}"], "unrecognized argument: --conf"),
 ], ids=["no-command", "unknown-command", "option-first", "no-config",
         "other-command-option", "unknown-option", "stray-token",
@@ -508,7 +518,7 @@ def test_load_reruns_the_gate(tmp_path, capsys, monkeypatch, command, family,
     ser = tmp_path / "s.json"
     with monkeypatch.context() as mp:
         mp.setattr(peakfn.certificates, "run_all",
-                   lambda engine, m_max: peakfn.CertificateReport({}))
+                   lambda engine: peakfn.CertificateReport({}))
         mp.setattr(peakfn.families.BarrierFamily, "certificate",
                    lambda self: {"name": "off", "passed": True})
         assert cli.main(["build", "--config",
@@ -576,7 +586,53 @@ def test_installed_console_script(cfg_path, tmp_path):
 def test_module_invocation(cfg_path):
     proc = subprocess.run(
         [sys.executable, "-m", "peakfn.cli", "certify",
-         "--config", str(cfg_path), "--m-max", "10"],
+         "--config", str(cfg_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["params", "certify", "build"])
+def test_huge_C_is_infeasible_not_a_hang(tmp_path, command):
+    # past C = 9e307 the M search's first candidate 2C overflows to inf,
+    # and the cap 2^20 C is inf as well
+    p = write_cfg(tmp_path, C=1e308)
+    argv = [sys.executable, "-m", "peakfn.cli", command, "--config", str(p)]
+    if command == "build":
+        argv += ["--series", str(tmp_path / "s.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "no admissible M" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "build"])
+def test_one_minus_q_rounding_to_zero_fails_a_record(tmp_path, command):
+    # at M = 1e20, q = (t + Mt)/(1 + Mt) rounds to 1: the decay lemma's
+    # premise 1 - q > 0 fails, and so does claim 2's e < 1, before any
+    # division by 1 - q or 1 - e
+    p = write_cfg(tmp_path, M=1e20)
+    argv = [sys.executable, "-m", "peakfn.cli", command, "--config", str(p)]
+    if command == "build":
+        argv += ["--series", str(tmp_path / "s.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    if command == "certify":
+        payload = json.loads(proc.stdout)
+        failing = [r["name"] for r in payload["records"] if not r["passed"]]
+        assert "lemma-decay" in failing and "claim-2" in failing
+    else:
+        assert "lemma-decay" in proc.stderr
+
+
+@pytest.mark.parametrize("extra,rc", [
+    # the first shell clears its guard band relative to its sides (2.5e-76
+    # absolute at D = 1e-300)
+    pytest.param({"D": 1e-300}, 0, id="D-1e-300"),
+    # L far below the radius bound's requirement
+    pytest.param({"L": 1e-300}, 2, id="L-1e-300"),
+])
+def test_params_and_certify_agree(tmp_path, capsys, extra, rc):
+    p = write_cfg(tmp_path, **extra)
+    assert cli.main(["params", "--config", str(p)]) == rc
+    assert cli.main(["certify", "--config", str(p)]) == rc

@@ -78,18 +78,17 @@ def test_choose_M_infeasible_reported():
     # A this close to 1 leaves no shrink room: every doubling of M fails
     h = HypothesisConstants(alpha=0.5, s=1.0, t=0.75, A=1.0 - 1e-12, C=2.0)
     with pytest.raises(InfeasibleParametersError) as exc_info:
-        choose_M(h, m_check=30)
+        choose_M(h)
     assert exc_info.value.best_margin < 0.0
 
 
 @pytest.mark.parametrize("m_check", [2, 0, -5])
 def test_m_max_below_3_refused_where_the_range_is_read(m_check):
-    # [3, 2] is an empty range, and 0 or -5 would take a power of -1;
-    # choose_M and an override of M both reach this one check
-    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
-        choose_M(REF, m_check=m_check)
-    with pytest.raises(InvalidParameterError, match="m_max must be at least"):
-        derive_constants(REF, M=4.0, m_check=m_check)
+    # [3, 2] is an empty range, and 0 or -5 would take a power of -1; the
+    # chooser and the battery pass M_MAX, so only a direct caller gets here
+    p, q = derive_pq(0.75, 4.0)
+    with pytest.raises(InvalidParameterError, match="m_check must be at least"):
+        eps_condition_report(0.5, 1.0, 0.75, 0.5, 4.0, p, q, m_check)
 
 
 def test_choose_L_ref():
@@ -222,7 +221,7 @@ def test_overrides_are_recorded():
 def test_derivation_invariants_hold_when_feasible(alpha, s, t, big_a, c):
     h = HypothesisConstants(alpha=alpha, s=s, t=t, A=big_a, C=c)
     try:
-        consts, report = derive_constants(h, m_check=40)
+        consts, report = derive_constants(h)
     except (InfeasibleParametersError, InvalidHypothesisError):
         return
     assert consts.t >= 0.75

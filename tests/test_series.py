@@ -204,7 +204,7 @@ def test_build_refuses_bad_constants(ref_constants):
     bad = Constants.from_dict({**ref_constants.to_dict(), "D": 0.2})
     fam = synthetic_family(bad)
     with pytest.raises(BuildRefusedError):
-        build(fam, n_terms=10, m_max=10)
+        build(fam, n_terms=10)
 
 
 def test_build_holds_the_certified_weights(ref_constants, monkeypatch):
@@ -213,9 +213,9 @@ def test_build_holds_the_certified_weights(ref_constants, monkeypatch):
     engines = []
     run_all = peakfn.certificates.run_all
 
-    def recording(engine, m_max):
+    def recording(engine):
         engines.append(engine)
-        return run_all(engine, m_max)
+        return run_all(engine)
 
     monkeypatch.setattr(peakfn.certificates, "run_all", recording)
     ser = build(synthetic_family(ref_constants), n_terms=20)
@@ -509,7 +509,7 @@ def test_disk_round_trip(disk_series, tmp_path):
 def test_split_index_beyond_head(ref_constants):
     # a tiny head forces the split logic past the stored radii
     fam = synthetic_family(ref_constants)
-    ser = build(fam, n_terms=4, m_max=10)
+    ser = build(fam, n_terms=4)
     res = ser.evaluate(1e-12)
     assert res.m_of_y > 4
     assert res.abs_F.hi < 1.0
@@ -524,7 +524,7 @@ def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
     # exact sum of its float terms, which a sum rounded to nearest misses.
     # Both are _sum_up of exactly those terms (the per-point reference,
     # which the batch path equals bit for bit, widens by them)
-    ser = build(synthetic_family(ref_constants), n_terms=n, m_max=10)
+    ser = build(synthetic_family(ref_constants), n_terms=n)
     sums = []
 
     def recording(terms):
