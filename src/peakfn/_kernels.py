@@ -121,25 +121,51 @@ def quad_unit_panels(first: int, count: int, lid, ca, p, t):
 
     The same floats, with each shared panel end evaluated once: a panel
     whose depth-0 bracket is narrow enough is bracket_quad's only panel,
-    and one too wide goes to quad_psi_negt, which bisects it.  Every node
-    is >= 1, where psi_val does not clamp, so it is inlined.
+    and one too wide goes to quad_psi_negt, which bisects it.  A unit
+    panel has half-width 0.5 and centre j - 0.5, both exact, so its node
+    offsets are the constants 0.5 * GAUSS7_X[i] and 0.5 * LOBATTO6_X[i],
+    and _rules' sums are written out in _rules' order.  Every node is
+    >= 1, where psi_val does not clamp, so the integrand
+    pow(s * lid + ca * pow(s, 1 + p), -t) is inlined at each node.
     """
-    pw = math.pow
-    e = 1.0 + p
-
-    def f(s):
-        return pw(s * lid + ca * pw(s, e), -t)
-
+    pw, log = math.pow, math.log
+    e, nt = 1.0 + p, -t
+    g0, g1, g2 = (0.5 * x for x in GAUSS7_X[:3])
+    l1, l2 = (0.5 * x for x in LOBATTO6_X[1:])
+    gw0, gw1, gw2, gw3 = GAUSS7_W
+    lw0, lw1, lw2 = LOBATTO6_W
+    rel, u = REL_WIDTH, _U
     pad = 3 * _U   # one accepted panel
     lo, hi = [], []
     pb = first - 1.0
-    f_b = f(pb)
+    f_b = pw(pb * lid + ca * pw(pb, e), nt)
     for j in range(first, first + count):
         pa, pb = pb, float(j)
-        f_a, f_b = f_b, f(pb)
-        gauss, lobatto = _rules(f, pa, pb, f_a, f_b)
-        if lobatto - gauss <= REL_WIDTH * gauss:
-            rho = _rho(pa, pb)
+        f_a = f_b
+        f_b = pw(pb * lid + ca * pw(pb, e), nt)
+        c = pb - 0.5
+        x, y = c - g0, c + g0
+        gauss = gw3 * pw(c * lid + ca * pw(c, e), nt)
+        gauss += gw0 * (pw(x * lid + ca * pw(x, e), nt)
+                        + pw(y * lid + ca * pw(y, e), nt))
+        x, y = c - g1, c + g1
+        gauss += gw1 * (pw(x * lid + ca * pw(x, e), nt)
+                        + pw(y * lid + ca * pw(y, e), nt))
+        x, y = c - g2, c + g2
+        gauss += gw2 * (pw(x * lid + ca * pw(x, e), nt)
+                        + pw(y * lid + ca * pw(y, e), nt))
+        lobatto = lw0 * (f_a + f_b)
+        x, y = c - l1, c + l1
+        lobatto += lw1 * (pw(x * lid + ca * pw(x, e), nt)
+                          + pw(y * lid + ca * pw(y, e), nt))
+        x, y = c - l2, c + l2
+        lobatto += lw2 * (pw(x * lid + ca * pw(x, e), nt)
+                          + pw(y * lid + ca * pw(y, e), nt))
+        gauss *= 0.5
+        lobatto *= 0.5
+        if lobatto - gauss <= rel * gauss:
+            # _rho(pa, pb), inlined
+            rho = (32.0 + 2.0 * log(pb) + 8.0 * pb / pa) * u
             lo.append(gauss * (1.0 - rho) * (1.0 - pad))
             hi.append(lobatto * (1.0 + rho) * (1.0 + pad))
         else:

@@ -258,10 +258,12 @@ def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
     proves d' > 0 on [m_check, inf), and the head check at m_check then
     covers every larger m.  d(m_check) > 0 is also required: it is not
     needed by the proof, but it keeps the chooser's accepted M unchanged.
+    1 - q must clear the guard band too: where q rounds to 1 the exponent
+    (m+1)^(1-q) is 1 at every m, and the float inequality checks nothing.
     """
     c1, c2, _, _ = _eps_coefficients(alpha, s, t, A, M, p, q)
     gap = p - (1.0 - q)
-    exp_ok = strictly_less(1.0 - q, p)
+    exp_ok = 1.0 - q > GUARD and strictly_less(1.0 - q, p)
     d0 = (c2 * math.pow(m_check - 1.0, p)
           - c1 * math.pow(m_check + 1.0, 1.0 - q))
     m_star = m0 = slope_margin = None

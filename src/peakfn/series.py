@@ -395,13 +395,18 @@ def _enc_pair(e: Enclosure) -> list:
     return [e.lo, e.hi]
 
 
-def _payload(series: PeakSeries) -> dict:
+# the head-long float lists of a series file, written by the C encoder
+_HEAD_KEYS = ("log_inv_eps", "log_inv_r", "sigma_head")
+
+
+def _fields(series: PeakSeries) -> dict:
+    """The keys and values of the series file but sigma_head, whose pairs
+    save_series and load_series take from the two sigma lists."""
     return {
         "format": SERIES_FORMAT,
         "family": series.family.name,
         "constants": series.consts.to_dict(),
         "n_terms": series.n_terms,
-        "sigma_head": list(map(list, zip(series.sigma_lo, series.sigma_hi))),
         "sigma_prefix_head": _enc_pair(series.sigma_prefix_head),
         "tail_after_head": _enc_pair(series.tail_after_head),
         "normalizer": _enc_pair(series.normalizer),
@@ -410,10 +415,55 @@ def _payload(series: PeakSeries) -> dict:
     }
 
 
+def _payload(series: PeakSeries) -> dict:
+    """The series file's JSON object."""
+    return {**_fields(series), "sigma_head": list(map(
+        list, zip(series.sigma_lo, series.sigma_hi)))}
+
+
+def _head_text(series: PeakSeries, key: str) -> str:
+    """The text indent=2 gives a head list at depth 1 of the file, from
+    one json.dumps without indent.  No float's text holds "[", "]" or
+    ", ", so str.replace meets only the encoder's separators."""
+    if key != "sigma_head":
+        text = json.dumps(getattr(series, key))
+        return "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    # "[[a, b], [c, d]]": the separators inside the pairs, then those
+    # between them, then the outer brackets
+    text = json.dumps(list(zip(series.sigma_lo, series.sigma_hi)))
+    text = text.replace(", ", ",\n      ").replace(
+        "],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
+
+
 def save_series(series: PeakSeries, path) -> None:
+    """Write the bytes of json.dump(_payload(series), fh, sort_keys=True,
+    indent=2) and a newline.
+
+    The keys go one at a time; the head lists are rendered at C speed by
+    _head_text, and the other values by json.dumps with indent=2, each
+    line after the first indented one level more for depth 1.
+    """
+    fields = _fields(series)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_payload(series), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        sep = "{\n  "
+        for key in sorted([*fields, "sigma_head"]):
+            if key in _HEAD_KEYS:
+                text = _head_text(series, key)
+            else:
+                text = json.dumps(fields[key], sort_keys=True,
+                                  indent=2).replace("\n", "\n  ")
+            fh.write(f"{sep}{json.dumps(key)}: {text}")
+            sep = ",\n  "
+        fh.write("\n}\n")
+
+
+def _same_pairs(pairs: list, lo: list, hi: list) -> bool:
+    """pairs == [[lo_j, hi_j] for each j], for pairs as long as lo and hi,
+    without one list per index."""
+    return (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
+            and list(map(operator.itemgetter(0), pairs)) == lo
+            and list(map(operator.itemgetter(1), pairs)) == hi)
 
 
 def load_series(path, fam: BarrierFamily) -> PeakSeries:
@@ -464,10 +514,13 @@ def load_series(path, fam: BarrierFamily) -> PeakSeries:
                           f"{', '.join(short)} must hold n_terms = {n} "
                           "entries")
     series = build(fam, n)
-    rebuilt = _payload(series)
-    # no rebuilt value is None, so a key missing from the file differs
+    rebuilt = _fields(series)
+    # no rebuilt value is None, so a key missing from the file differs;
+    # sigma_head, which the file holds, is compared with the sigma lists
     differ = sorted(k for k in rebuilt.keys() | payload.keys()
-                    if k not in rebuilt or rebuilt[k] != payload.get(k))
+                    if (k not in rebuilt or rebuilt[k] != payload.get(k))
+                    and (k != "sigma_head" or not _same_pairs(
+                        payload[k], series.sigma_lo, series.sigma_hi)))
     if differ:
         raise ConfigError(
             f"series file {path!r} does not match the rebuild from its "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels
-from .enclosure import ZERO, Enclosure, down, ulps_out_all, up
+from .enclosure import ZERO, Enclosure, ulps_out_all
 from .errors import DomainError, InvalidParameterError
 from .hypothesis import GUARD, Constants, strictly_less
 from .schedule import Schedule
@@ -65,7 +65,7 @@ class WeightEngine:
         i_lo, i_hi = self._i_lo, self._i_hi
         lo, hi = i_lo[-1], i_hi[-1]
         out_lo, out_hi = [], []
-        nx, inf = math.nextafter, math.inf
+        nx, inf, ninf = math.nextafter, math.inf, -math.inf
         if j0 == 1:
             first = self._psi1_negt * 1.0
             lo, hi = first.lo, first.hi
@@ -79,7 +79,7 @@ class WeightEngine:
                 self.consts.p, self.consts.t)
             # the running sums stay sequential, each step rounded outward
             for a, b in zip(q_lo, q_hi):
-                lo = nx(nx(lo + a, -inf), -inf)
+                lo = nx(nx(lo + a, ninf), ninf)
                 hi = nx(nx(hi + b, inf), inf)
                 out_lo.append(lo)
                 out_hi.append(hi)
@@ -115,25 +115,28 @@ class WeightEngine:
         p_lo, p_hi = ulps_out_all(
             [pw(j * lid + ca * pw(float(j), e), t)
              for j in range(done + 1, n + 1)], 8)
+        # each enclosure.down and up written out as its nextafter pair
+        nx, inf, ninf = math.nextafter, math.inf, -math.inf
         g_lo, g_hi, s_lo, s_hi = [], [], [], []
         for lo, hi, plo, phi in zip(i_lo, i_hi, p_lo, p_hi):
-            glo = down(ex(down(hi * neg_k)))
-            ghi = up(ex(up(lo * neg_k)))
-            dlo, dhi = down(plo * m_const), up(phi * m_const)
+            glo = nx(nx(ex(nx(nx(hi * neg_k, ninf), ninf)), ninf), ninf)
+            ghi = nx(nx(ex(nx(nx(lo * neg_k, inf), inf)), inf), inf)
+            dlo = nx(nx(plo * m_const, ninf), ninf)
+            dhi = nx(nx(phi * m_const, inf), inf)
             g_lo.append(glo)
             g_hi.append(ghi)
-            s_lo.append(down(glo / (dhi if glo >= 0.0 else dlo)))
-            s_hi.append(up(ghi / dlo))
+            s_lo.append(nx(nx(glo / (dhi if glo >= 0.0 else dlo), ninf),
+                           ninf))
+            s_hi.append(nx(nx(ghi / dlo, inf), inf))
         self._i_lo += i_lo
         self._i_hi += i_hi
         self._g_lo += g_lo
         self._g_hi += g_hi
         self._sig_lo += s_lo
         self._sig_hi += s_hi
-        nx, inf = math.nextafter, math.inf
         plo, phi = self._pre_lo[-1], self._pre_hi[-1]
         for a, b in zip(s_lo, s_hi):
-            plo = nx(nx(plo + a, -inf), -inf)
+            plo = nx(nx(plo + a, ninf), ninf)
             phi = nx(nx(phi + b, inf), inf)
             self._pre_lo.append(plo)
             self._pre_hi.append(phi)

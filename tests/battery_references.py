@@ -135,3 +135,32 @@ def quad_psi_negt(a, b, lid, ca, p, t):
     """_kernels.quad_psi_negt with its integrand through psi_val."""
     return _kernels.bracket_quad(
         lambda s: math.pow(_kernels.psi_val(s, lid, ca, p), -t), a, b)
+
+
+def quad_unit_panels(first, count, lid, ca, p, t):
+    """_kernels.quad_unit_panels as one _kernels._rules call per panel on
+    the integrand as a closure, as the package computed it before the
+    panel sums were written out with the node offsets as constants."""
+    pw = math.pow
+    e = 1.0 + p
+
+    def f(s):
+        return pw(s * lid + ca * pw(s, e), -t)
+
+    pad = 3 * _kernels._U   # one accepted panel
+    lo, hi = [], []
+    pb = first - 1.0
+    f_b = f(pb)
+    for j in range(first, first + count):
+        pa, pb = pb, float(j)
+        f_a, f_b = f_b, f(pb)
+        gauss, lobatto = _kernels._rules(f, pa, pb, f_a, f_b)
+        if lobatto - gauss <= _kernels.REL_WIDTH * gauss:
+            rho = _kernels._rho(pa, pb)
+            lo.append(gauss * (1.0 - rho) * (1.0 - pad))
+            hi.append(lobatto * (1.0 + rho) * (1.0 + pad))
+        else:
+            a, b = _kernels.quad_psi_negt(pa, pb, lid, ca, p, t)
+            lo.append(a)
+            hi.append(b)
+    return lo, hi

@@ -18,6 +18,7 @@ from peakfn import (HypothesisConstants, Schedule, WeightEngine, _kernels,
 from peakfn import hypothesis as hyp
 from peakfn.enclosure import Enclosure
 from peakfn.hypothesis import adjust_C, choose_D
+from peakfn.weights import UNIT_CACHE_CAP
 
 # perfbench's certify-cold hypothesis box, drawn in Latin-hypercube blocks
 BOX = {"alpha": (0.3, 0.7), "s": (0.5, 1.0), "t": (0.5, 0.85),
@@ -150,6 +151,28 @@ def test_quad_psi_negt_matches_the_psi_val_integrand(name):
         args = (a, b, c.log_inv_D, ca, c.p, c.t)
         assert _bits(_kernels.quad_psi_negt(*args)) == _bits(
             ref.quad_psi_negt(*args)), (a, b)
+
+
+@pytest.mark.parametrize("name", list(CONSTANTS))
+def test_unit_panels_match_the_per_panel_rules(name, monkeypatch):
+    # every panel the unit cache holds, [1, 2] .. [cap - 1, cap]
+    c = CONSTANTS[name]
+    args = (c.log_inv_D, Schedule(c).psi_power_coefficient, c.p, c.t)
+    count = UNIT_CACHE_CAP - 1
+    bisected = []
+    quad = _kernels.quad_psi_negt
+
+    def recording(a, b, *rest):
+        bisected.append(b)
+        return quad(a, b, *rest)
+
+    monkeypatch.setattr(_kernels, "quad_psi_negt", recording)
+    got = _kernels.quad_unit_panels(2, count, *args)
+    monkeypatch.undo()
+    assert _bits(got) == _bits(ref.quad_unit_panels(2, count, *args))
+    if name == "reference":
+        # the panels near j = 2 are too wide at depth 0 and are bisected
+        assert bisected == [2.0, 3.0, 4.0, 5.0]
 
 
 def test_choose_D_matches_the_200_step_bisection():

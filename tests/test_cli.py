@@ -631,6 +631,9 @@ def test_one_minus_q_rounding_to_zero_fails_a_record(tmp_path, command):
     pytest.param({"D": 1e-300}, 0, id="D-1e-300"),
     # L far below the radius bound's requirement
     pytest.param({"L": 1e-300}, 2, id="L-1e-300"),
+    # q = (t + Mt)/(1 + Mt) rounds to 1 at every M the chooser tries, so
+    # the shrink inequality's exponent (m+1)^(1-q) checks nothing
+    pytest.param({"C": 1e300}, 2, id="C-1e300"),
 ])
 def test_params_and_certify_agree(tmp_path, capsys, extra, rc):
     p = write_cfg(tmp_path, **extra)

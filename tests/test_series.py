@@ -2,16 +2,18 @@
 verification, and serialization round-trips."""
 
 import bisect
+import copy
 import dataclasses
 import functools
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_barriers import scalar_barrier
 
@@ -22,7 +24,7 @@ from peakfn.enclosure import ComplexEnclosure, Enclosure
 from peakfn.errors import BuildRefusedError, ConfigError, DomainError
 from peakfn.hypothesis import GUARD
 from peakfn.series import (BARRIER_EVAL_REL, SERIES_FORMAT, CaseLabel,
-                           EvalResult, _dot, _sum_up)
+                           EvalResult, _dot, _payload, _sum_up)
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,6 +253,38 @@ def test_save_format_stable(ref_series, tmp_path):
     assert payload["family"] == "synthetic"
 
 
+# ends whose text or spacing is awkward: a signed zero, the smallest
+# subnormal, the smallest normal, a short exponent form, the first float
+# repr writes with an exponent, and the largest float
+AWKWARD_ENDS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+                1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=3, pool=list(AWKWARD_ENDS), rnd=random.Random(0))
+@given(n=st.sampled_from([1, 2, 3, 1000]),
+       pool=st.lists(st.sampled_from(AWKWARD_ENDS + tuple(
+           -x for x in AWKWARD_ENDS)) | st.floats(allow_nan=False,
+                                                  allow_infinity=False),
+           min_size=1, max_size=12),
+       rnd=st.randoms(use_true_random=False))
+def test_save_series_writes_the_json_dump_bytes(ref_series, tmp_path_factory,
+                                                n, pool, rnd):
+    # a head of n entries, every end drawn from the pool; save_series
+    # reads only the fields set here, so no other field need agree
+    ser = copy.copy(ref_series)
+    ser.n_terms = n
+    ser.sigma_lo, ser.sigma_hi, ser.log_inv_r, ser.log_inv_eps = (
+        [rnd.choice(pool) for _ in range(n)] for _ in range(4))
+    ser.sigma_prefix_head, ser.tail_after_head, ser.normalizer = (
+        Enclosure(*sorted([rnd.choice(pool), rnd.choice(pool)]))
+        for _ in range(3))
+    path = tmp_path_factory.mktemp("writer") / "series.json"
+    save_series(ser, path)
+    want = json.dumps(_payload(ser), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 SERIES_KEYS = ["format", "family", "constants", "n_terms", "sigma_head",
                "sigma_prefix_head", "tail_after_head", "normalizer",
                "log_inv_r", "log_inv_eps"]
@@ -328,20 +362,34 @@ def test_load_refuses_a_mismatch_before_rebuild(ref_series, tmp_path,
 @pytest.mark.parametrize("tamper,named", [
     ("triple-all", "sigma_head differ"),
     ("one-ulp", "sigma_head differ"),
+    # entries that are no pair of the rebuild's floats
+    ("three-ends", "sigma_head differ"),
+    ("bare-float", "sigma_head differ"),
+    ("two-chars", "sigma_head differ"),
+    ("two-keys", "sigma_head differ"),
     # the head arrays still hold 100 entries: refused before any rebuild
     ("n_terms-99", "log_inv_eps, log_inv_r, sigma_head must hold "
                    "n_terms = 99 entries"),
-], ids=["triple-all", "one-ulp", "n_terms-99"])
+], ids=["triple-all", "one-ulp", "three-ends", "bare-float", "two-chars",
+        "two-keys", "n_terms-99"])
 def test_load_refuses_tampered_head(ref_series, tmp_path, tamper, named):
     path = tmp_path / "series.json"
     save_series(ref_series, path)
     payload = json.loads(path.read_text())
+    lo, hi = payload["sigma_head"][41]
     if tamper == "triple-all":
         payload["sigma_head"] = [[3.0 * lo, 3.0 * hi]
                                  for lo, hi in payload["sigma_head"]]
     elif tamper == "one-ulp":
-        lo, hi = payload["sigma_head"][41]
         payload["sigma_head"][41] = [lo, math.nextafter(hi, math.inf)]
+    elif tamper == "three-ends":
+        payload["sigma_head"][41] = [lo, hi, hi]
+    elif tamper == "bare-float":
+        payload["sigma_head"][41] = lo
+    elif tamper == "two-chars":
+        payload["sigma_head"][41] = "lh"
+    elif tamper == "two-keys":
+        payload["sigma_head"][41] = {"lo": lo, "hi": hi}
     else:
         payload["n_terms"] = 99
     path.write_text(json.dumps(payload))
