@@ -92,8 +92,8 @@ def cmd_build(cfg: Config, terms, series, out) -> int:
 
 
 def _load_for_grid(cfg: Config, series_path, grid_arg):
-    """The config's series at the head length the file names, and the
-    grid's offsets; the file must hold exactly what the config builds."""
+    """The config's series at the head length N that the series file
+    names, and the grid's offsets; N is all that is read from the file."""
     if not series_path:
         raise ConfigError("need --series PATH; run build first")
     grid = parse_grid(grid_arg or DEFAULT_GRID)

@@ -122,11 +122,6 @@ class Constants:
             "q": self.q, "L": self.L, "k": self.k,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Constants":
-        return cls(**{f: float(d[f]) for f in
-                      ("alpha", "s", "t", "A", "C", "D", "M", "p", "q", "L", "k")})
-
 
 def adjust_t(t: float) -> float:
     """Raise t to the working floor; raising t only weakens the growth cap."""

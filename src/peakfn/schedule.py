@@ -15,6 +15,9 @@ from . import _kernels
 from .errors import DomainError, InvalidParameterError
 from .hypothesis import GUARD, Constants
 
+# split_index searches at most this many radii
+SPLIT_CAP = 200_000
+
 
 class Schedule:
     """Cached, append-only view of the sequences driven by one Constants set.
@@ -119,20 +122,20 @@ class Schedule:
         """Coefficient of tau^(1+p) in psi."""
         return self._ca
 
-    def split_index(self, log_inv_dist: float, cap: int = 200_000) -> int:
+    def split_index(self, log_inv_dist: float) -> int:
         """Smallest m with r_m <= dist, i.e. log(1/r_m) >= log(1/dist).
 
         Conservative: near-ties are pushed to the next index, which only
         moves a term from the tail bound into the exactly-evaluated head.
 
         A binary search over the cached log-radii, grown by doubling up to
-        cap.  The test is monotone in m: log(1/r_m) grows with m by
+        SPLIT_CAP.  The test is monotone in m: log(1/r_m) grows with m by
         log(1/A) + log(1/eps_m) > 0 per step, while the right side, the
         rounded sum log(1/dist) + GUARD*max(1, |log(1/r_m)|), grows by at
         most GUARD times that step plus two roundings, far less than the
         step.  So once the test holds at some m it holds at every later m.
         """
-        lir = self._lir
+        lir, cap = self._lir, SPLIT_CAP
 
         def inward(v: float) -> bool:
             return v >= log_inv_dist + GUARD * max(1.0, abs(v))

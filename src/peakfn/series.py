@@ -11,6 +11,7 @@ families.DomainModel); reports print x + delta rounded to binary64.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import operator
@@ -74,20 +75,22 @@ class PeakSeries:
     log_inv_r: list             # float, j = 1..N
     log_inv_eps: list           # float, j = 1..N
     engine: WeightEngine = field(repr=False)
-    # derived from the fields above, so dataclasses.replace recomputes them
-    thresholds: list = field(                # 1 + eps_j^s, j = 1..N
-        init=False, repr=False, compare=False)
-    _sigma_mag: list = field(                # max |end| of each sigma_j
-        init=False, repr=False, compare=False)
     # _mass_after(k) by k, filled on first use
     _masses: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    def __post_init__(self):
-        self.thresholds = [1.0 + math.exp(-self.consts.s * lie)
-                           for lie in self.log_inv_eps]
-        self._sigma_mag = list(map(max, map(abs, self.sigma_lo),
-                                   map(abs, self.sigma_hi)))
+    # derived from the fields above on first use, so a series that is only
+    # written computes neither, and dataclasses.replace recomputes both
+    @functools.cached_property
+    def thresholds(self) -> list:
+        """1 + eps_j^s, j = 1..N."""
+        return [1.0 + math.exp(-self.consts.s * lie)
+                for lie in self.log_inv_eps]
+
+    @functools.cached_property
+    def _sigma_mag(self) -> list:
+        """max |end| of each sigma_j."""
+        return list(map(max, map(abs, self.sigma_lo), map(abs, self.sigma_hi)))
 
     def split_index(self, delta: complex) -> int:
         """Smallest m with r_m <= |delta|, delta = y - x, as
@@ -395,13 +398,14 @@ def _enc_pair(e: Enclosure) -> list:
     return [e.lo, e.hi]
 
 
-# the head-long float lists of a series file, written by the C encoder
+# the head-long lists of a series file: the C encoder writes them, and
+# load_series checks their lengths
 _HEAD_KEYS = ("log_inv_eps", "log_inv_r", "sigma_head")
 
 
 def _fields(series: PeakSeries) -> dict:
     """The keys and values of the series file but sigma_head, whose pairs
-    save_series and load_series take from the two sigma lists."""
+    _payload and save_series take from the two sigma lists."""
     return {
         "format": SERIES_FORMAT,
         "family": series.family.name,
@@ -458,25 +462,16 @@ def save_series(series: PeakSeries, path) -> None:
         fh.write("\n}\n")
 
 
-def _same_pairs(pairs: list, lo: list, hi: list) -> bool:
-    """pairs == [[lo_j, hi_j] for each j], for pairs as long as lo and hi,
-    without one list per index."""
-    return (set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}
-            and list(map(operator.itemgetter(0), pairs)) == lo
-            and list(map(operator.itemgetter(1), pairs)) == hi)
-
-
 def load_series(path, fam: BarrierFamily) -> PeakSeries:
-    """Rebuild fam's series at the head length a file names, and refuse
-    the file unless it holds exactly the rebuilt numbers.
+    """Build fam's series at the head length N that a series file names.
 
-    The file is an input only through n_terms.  Before anything is
-    rebuilt, its family and constants must be fam's, and its head arrays
-    must hold n_terms entries.  The rebuild reruns the certificate battery
-    and the family certificate, so constants that fail either are refused
-    as build refuses them (BuildRefusedError).  Every key in the file must
-    equal the rebuild's, and no other key may appear, so a file written
-    where libm rounds differently is refused.
+    N is the only value read from the file.  The file must be a series
+    file for fam: its format, family and constants are checked, n_terms
+    must be a positive integer, and sigma_head, log_inv_r and log_inv_eps
+    must each hold n_terms entries, so a file cannot make the load build a
+    longer head than it stores.  The series then comes from build, which
+    reruns the certificate battery and the family certificate and refuses
+    constants that fail either (BuildRefusedError).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -501,28 +496,15 @@ def load_series(path, fam: BarrierFamily) -> PeakSeries:
         raise ConfigError(
             f"series file {path!r} was built from other constants than the "
             f"config's: {', '.join(differ)} differ")
-    # the rebuild costs O(n_terms): refuse a head that cannot match first
     n = payload.get("n_terms")
     if type(n) is not int or n < 1:
         raise ConfigError(f"malformed series file {path!r}: n_terms must be "
                           f"a positive integer, got {n!r}")
-    short = [key for key in ("log_inv_eps", "log_inv_r", "sigma_head")
+    short = [key for key in _HEAD_KEYS
              if not isinstance(payload.get(key), list)
              or len(payload[key]) != n]
     if short:
         raise ConfigError(f"malformed series file {path!r}: "
                           f"{', '.join(short)} must hold n_terms = {n} "
                           "entries")
-    series = build(fam, n)
-    rebuilt = _fields(series)
-    # no rebuilt value is None, so a key missing from the file differs;
-    # sigma_head, which the file holds, is compared with the sigma lists
-    differ = sorted(k for k in rebuilt.keys() | payload.keys()
-                    if (k not in rebuilt or rebuilt[k] != payload.get(k))
-                    and (k != "sigma_head" or not _same_pairs(
-                        payload[k], series.sigma_lo, series.sigma_hi)))
-    if differ:
-        raise ConfigError(
-            f"series file {path!r} does not match the rebuild from its "
-            f"constants: {', '.join(differ)} differ")
-    return series
+    return build(fam, n)

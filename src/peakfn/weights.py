@@ -189,32 +189,20 @@ class WeightEngine:
         self.reserve(n)
         return Enclosure(self._pre_lo[n], self._pre_hi[n])
 
-    def sigma_range(self, a: int, b: int) -> Enclosure:
-        """Enclosure of sum_{j=a..b} sigma_j; zero when the range is empty."""
-        if b < a:
-            return ZERO
-        return self.sigma_prefix(b) - self.sigma_prefix(a - 1)
-
-    def tail(self, m: int, sharpen: int = 0) -> Enclosure:
+    def tail(self, m: int) -> Enclosure:
         """Enclosure of sum_{j>m} sigma_j.
 
         The summand is decreasing, so the integral comparison sandwiches the
         remainder between g(m+1)/(M k) and sigma_{m+1} + g(m+1)/(M k) (the
-        integral is exactly g/(M k) by the closed-form identity).  With
-        sharpen = n, the first n terms are summed explicitly before
-        bracketing, which tightens the width to roughly sigma_{m+n+1}.
+        integral is exactly g/(M k) by the closed-form identity).  The
+        bracket is added to ZERO, which pads each end two ulps outward;
+        the normalizer and every series file carry that pad.
         """
         if m < 0:
             raise InvalidParameterError(f"tail needs m >= 0, got {m!r}")
-        if sharpen < 0:
-            raise InvalidParameterError(f"sharpen must be >= 0, got {sharpen!r}")
-        m2 = m + sharpen
-        head = self.sigma_range(m + 1, m2)
-        gref = self.g(float(m2 + 1))
-        integral = gref / self.consts.mk
-        upper = self.sigma(m2 + 1) + integral
-        bracket = Enclosure(integral.lo, upper.hi)
-        return head + bracket
+        integral = self.g(float(m + 1)) / self.consts.mk
+        upper = self.sigma(m + 1) + integral
+        return ZERO + Enclosure(integral.lo, upper.hi)
 
     # -- lemma-facing checks ----------------------------------------------
 

@@ -98,9 +98,10 @@ def test_criterion_5_certificate_battery(ref_consts):
 
 def test_criterion_6_normalizer_enclosure(ref_consts):
     with budget(10.0):
+        # the normalizer build uses: the head's prefix sum plus its tail
         eng = WeightEngine(ref_consts)
-        coarse = eng.tail(0, sharpen=1000)
-        fine = eng.tail(0, sharpen=10_000)
+        coarse = eng.sigma_prefix(1000) + eng.tail(1000)
+        fine = eng.sigma_prefix(10_000) + eng.tail(10_000)
         relwidth = (coarse.hi - coarse.lo) / coarse.lo
         assert relwidth <= 1e-3
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi

@@ -1,13 +1,13 @@
 """Certificate battery: REF passes everything with frozen margins; designed
 bad constants fail exactly the check they were designed to break."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from peakfn import (Constants, Schedule, WeightEngine, derive_constants,
-                    run_all)
+from peakfn import Schedule, WeightEngine, derive_constants, run_all
 from peakfn._kernels import radius_bound_sweep
 from peakfn.certificates import (check_claim1, check_claim2, check_eps_condition,
                                  check_first_shell, check_lemma,
@@ -46,7 +46,7 @@ def test_first_shell_record(ref_constants):
 
 
 def test_first_shell_fails_at_02(ref_constants):
-    bad = Constants.from_dict({**ref_constants.to_dict(), "D": 0.2})
+    bad = dataclasses.replace(ref_constants, D=0.2)
     rec = check_first_shell(bad)
     assert not rec["passed"]
     assert rec["min_margin"] == pytest.approx(-0.0328149237559, rel=1e-9)
@@ -73,8 +73,7 @@ def test_eps_condition_dual_route(ref_constants):
 
 def test_eps_tail_fails_without_exponent_gap(ref_constants):
     # q = 1 - p closes the gap the tail proof needs (and puts m* at 1/0)
-    bad = Constants.from_dict({**ref_constants.to_dict(),
-                               "q": 1.0 - ref_constants.p})
+    bad = dataclasses.replace(ref_constants, q=1.0 - ref_constants.p)
     rec = check_eps_condition(bad)
     tail = rec["details"]["tail_certificate"]
     assert not tail["exponent_ok"] and tail["m_star"] is None
@@ -83,7 +82,7 @@ def test_eps_tail_fails_without_exponent_gap(ref_constants):
 
 @pytest.mark.parametrize("p", [-0.25, 1.0, 1.5])
 def test_brackets_fail_outside_unit_interval(ref_constants, p):
-    bad = Constants.from_dict({**ref_constants.to_dict(), "p": p})
+    bad = dataclasses.replace(ref_constants, p=p)
     recs = {r["name"]: r for r in check_schedule_identities(Schedule(bad))}
     assert not recs["partial-sum-brackets"]["passed"]
     assert not recs["radius-bound"]["passed"]
@@ -94,7 +93,7 @@ def test_radius_bound_proof_against_sweep(ref_constants):
     # out; only the proof sees it (test_psi_majorizes_radii covers L = 5)
     c = ref_constants
     args = (c.p, c.log_inv_D, c.log_inv_A)
-    low = Constants.from_dict({**c.to_dict(), "L": 0.9})
+    low = dataclasses.replace(c, L=0.9)
     rec = [r for r in check_schedule_identities(Schedule(low))
            if r["name"] == "radius-bound"][0]
     assert not rec["passed"]

@@ -197,7 +197,7 @@ def test_hypothesis_validation():
 
 def test_constants_round_trip():
     consts, _ = derive_constants(REF)
-    again = Constants.from_dict(consts.to_dict())
+    again = Constants(**consts.to_dict())
     assert again == consts
 
 

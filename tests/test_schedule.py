@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakfn import Schedule
+from peakfn import Schedule, schedule
 from peakfn._kernels import pow_sums, radius_bound_sweep
 from peakfn.certificates import check_schedule_identities
 from peakfn.errors import DomainError, InvalidParameterError
@@ -92,15 +92,16 @@ def test_sum_brackets_p_grid(sched, p):
     assert bracket_certificate(p)["passed"]
 
 
-def test_split_index(sched):
+def test_split_index(sched, monkeypatch):
     # r_1 = 0.1: a point at distance 0.2 is outside every ball
     assert sched.split_index(-math.log(0.2)) == 1
     # distance 0.05 sits inside ball 1, outside ball 2
     assert sched.split_index(-math.log(0.05)) == 2
     # spec-scale deep point
     assert sched.split_index(-math.log(1e-30)) == 15
-    with pytest.raises(InvalidParameterError):
-        sched.split_index(1e9, cap=100)
+    monkeypatch.setattr(schedule, "SPLIT_CAP", 100)
+    with pytest.raises(InvalidParameterError, match="exceeded cap 100"):
+        sched.split_index(1e9)
 
 
 def test_split_index_ties_go_inward(sched):
@@ -109,7 +110,7 @@ def test_split_index_ties_go_inward(sched):
     assert sched.split_index(lir2) == 3
 
 
-def _linear_split_index(sched, log_inv_dist, cap=200_000):
+def _linear_split_index(sched, log_inv_dist, cap=schedule.SPLIT_CAP):
     """Schedule.split_index as a scan from m = 1, the reference for its
     binary search."""
     m = 1
@@ -123,7 +124,7 @@ def _linear_split_index(sched, log_inv_dist, cap=200_000):
                 f"split index exceeded cap {cap} (point too close to peak)")
 
 
-def test_split_index_equals_the_linear_scan(ref_constants):
+def test_split_index_equals_the_linear_scan(ref_constants, monkeypatch):
     ref = Schedule(ref_constants)
     lirs = ref.log_inv_radii(400)
     rng = random.Random(11)
@@ -139,6 +140,7 @@ def test_split_index_equals_the_linear_scan(ref_constants):
     assert [searched.split_index(d) for d in dists] == \
         [_linear_split_index(ref, d) for d in dists]
     for cap in (1, 2, 7, 64, 65):
+        monkeypatch.setattr(schedule, "SPLIT_CAP", cap)
         for d in (lirs[cap - 2] if cap > 1 else -1.0, lirs[cap - 1],
                   lirs[cap]):
             try:
@@ -146,9 +148,9 @@ def test_split_index_equals_the_linear_scan(ref_constants):
             except InvalidParameterError as exc:
                 with pytest.raises(InvalidParameterError,
                                    match=re.escape(str(exc))):
-                    Schedule(ref_constants).split_index(d, cap)
+                    Schedule(ref_constants).split_index(d)
             else:
-                assert Schedule(ref_constants).split_index(d, cap) == want
+                assert Schedule(ref_constants).split_index(d) == want
 
 
 def test_pow_sum_validation(sched):

@@ -94,15 +94,6 @@ def test_tail_zero_frozen(engine):
     assert t0.lo <= SIGMA_TOTAL_LO and SIGMA_TOTAL_HI <= t0.hi
 
 
-def test_tail_sharpening_nests(engine):
-    crude = engine.tail(5)
-    for n in (1, 2, 10, 50):
-        sharp = engine.tail(5, sharpen=n)
-        assert crude.encloses(sharp)
-        crude = sharp
-    assert engine.tail(5, sharpen=50).width < engine.tail(5).width / 5.0
-
-
 def test_normalizer_nesting_and_width(engine):
     n100 = engine.sigma_prefix(100) + engine.tail(100)
     n1000 = engine.sigma_prefix(1000) + engine.tail(1000)
@@ -110,13 +101,6 @@ def test_normalizer_nesting_and_width(engine):
     assert n100.contains(SIGMA_TOTAL_LO) and n100.contains(SIGMA_TOTAL_HI)
     assert n100.rel_width < 2e-4
     assert n1000.rel_width < 2e-5
-
-
-def test_sigma_range(engine):
-    r = engine.sigma_range(2, 3)
-    both = engine.sigma(2) + engine.sigma(3)
-    assert r.lo <= both.mid <= r.hi
-    assert engine.sigma_range(5, 4).hi == 0.0
 
 
 def test_integral_equation_residual(engine):
