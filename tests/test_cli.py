@@ -366,6 +366,32 @@ class TestPipeline:
         assert payload["peak_enclosure"]["contains_one"] is True
 
     @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize("tamper", ["triple-all", "one-ulp"])
+    def test_tampered_series_read_as_built(self, built, tmp_path, command,
+                                           tamper):
+        # a head of the right length loads whatever its values: eval and
+        # verify write the bytes they write on the file build wrote
+        cfg, ser, _ = built
+        payload = json.loads(ser.read_text())
+        if tamper == "triple-all":
+            payload["sigma_head"] = [[3.0 * lo, 3.0 * hi]
+                                     for lo, hi in payload["sigma_head"]]
+        else:
+            lo, hi = payload["sigma_head"][0]
+            payload["sigma_head"][0] = [math.nextafter(lo, 0.0), hi]
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(payload))
+        outs = []
+        for path in (ser, bad):
+            out = tmp_path / f"{path.stem}.out"
+            rc = cli.main([command, "--config", str(cfg), "--series",
+                           str(path), "--grid", "log:1e-6:1.0:5",
+                           "--out", str(out)])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
     def test_head_shorter_than_n_terms_refused(self, built, tmp_path, capsys,
                                                command):
         cfg, ser, _ = built
