@@ -10,9 +10,9 @@ four barrier conditions for the constants it was made from:
   (4) |f_r| < 1 + eps^s on the ball of radius A*r*eps, for every eps in (0,1).
 
 Points are offsets delta = y - x from the peak x (see DomainModel).  A
-family evaluates f_r at many (offset, radius) pairs in one call of its
-hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one radius
-and one admitted offset at a time.
+family evaluates f_r at one offset and a list of radii in one call of its
+hook, BarrierFamily.values; barrier(log(1/r)) is that hook at one radius,
+at offsets the domain admits.
 
 Two instances ship: a continuous piecewise family on [0,1] whose sup-norms
 genuinely grow like log^t(1/r), and a bounded holomorphic exponential
@@ -130,7 +130,7 @@ class BarrierFamily:
     cap_floor: float  # condition (3) holds at r iff C log^t(1/r) >= cap_floor
     _make: Callable[[float], Barrier]
     _off_bound: Callable[[complex, float], float]
-    _values: Callable[[list, list, list], list]
+    _values: Callable[[complex, list], list]
 
     def _in_range(self, log_inv_r: float) -> bool:
         return log_inv_r >= self.min_log_inv_r - 1e-12
@@ -143,20 +143,17 @@ class BarrierFamily:
                 f"got log(1/r) = {log_inv_r!r}")
         return self._make(float(log_inv_r))
 
-    def values(self, points: list, which: list, log_inv_r: list) -> list:
-        """f_r(y) for many (point, radius) pairs: entry i of the list of
-        complex values is the barrier at log(1/r) = log_inv_r[i] evaluated
-        at the point whose offset from the peak is points[which[i]].
+    def values(self, delta: complex, log_inv_r: list) -> list:
+        """f_r(x + delta) at each log(1/r) of the list, in its order.
 
-        Nothing is checked here: callers admit the offsets through the
-        domain first, as evaluate_many does, and the radii must lie in the
-        family's range, as the schedule radii of a certified series do.
-        barrier(log(1/r)) checks both for one radius and one offset at a
-        time.  Logarithms of an offset's coordinates are taken once per
-        point, and every exp, log, pow and cmath.exp is a libm call, so
-        each entry does not depend on the other pairs of the call.
+        Nothing is checked: callers admit the offset through the domain
+        first, as evaluate_many does, and take radii in the family's range,
+        as a certified series does; barrier(log(1/r)) checks both.  The
+        offset's logarithms are taken once per call, and each exp, log, pow
+        and cmath.exp is a libm call, so a value does not depend on the
+        other radii of the call.
         """
-        return self._values(points, which, log_inv_r)
+        return self._values(delta, log_inv_r)
 
     def off_ball_bound(self, delta: complex, log_inv_r: float) -> float:
         """Upper bound on |f_r(x + delta)|, rounded up, for every radius
@@ -200,7 +197,7 @@ def _one_point(values, domain: DomainModel, lir: float) -> Barrier:
     offsets the domain admits."""
 
     def f(delta: complex) -> complex:
-        return values([domain.require(delta)], [0], [lir])[0]
+        return values(domain.require(delta), [lir])[0]
 
     return Barrier(log_inv_r=lir, func=f)
 
@@ -231,16 +228,14 @@ def synthetic_family(consts: Constants) -> BarrierFamily:
     w_mid = math.log((1.0 + big_a) / 2.0)
     two_over_gap = 2.0 / (1.0 - big_a)
 
-    def values(points, which, lir):
-        # x = 0: the offset is the point; None marks the peak
-        log_y = [math.log(d.real) if d.real > 0.0 else None for d in points]
+    def values(delta, lirs):
+        # x = 0: the offset is y, and an admitted y <= 0 is the peak
+        if not delta.real > 0.0:
+            return [1.0 + 0.0j] * len(lirs)
+        ly = math.log(delta.real)
         ex, pw = math.exp, math.pow
         out = []
-        for i, li in zip(which, lir):
-            ly = log_y[i]
-            if ly is None:
-                out.append(1.0 + 0.0j)
-                continue
+        for li in lirs:
             # w = log(y/r); segment tests stay in log space so underflowed
             # radii still evaluate correctly
             w = ly + li
@@ -307,13 +302,12 @@ def disk_exponential_family(consts: Constants) -> BarrierFamily:
     def log_abs(v):
         return math.log(abs(v)) if v != 0.0 else None
 
-    def values(points, which, lir):
-        # points are offsets delta = z - 1, Re delta <= 0 on the closed disk
-        logs = [(log_abs(d.real), log_abs(d.imag), d.imag) for d in points]
+    def values(delta, lirs):
+        # the offset delta = z - 1 has Re delta <= 0 on the closed disk
+        lx, ly, dy = log_abs(delta.real), log_abs(delta.imag), delta.imag
         ex, cx, cs = math.exp, cmath.exp, math.copysign
         out = []
-        for i, li in zip(which, lir):
-            lx, ly, dy = logs[i]
+        for li in lirs:
             # exponent lambda*delta computed componentwise in log space;
             # lambda itself can overflow for schedule radii
             log_lam = log_2_log_inv_alpha + 2.0 * li
@@ -471,9 +465,8 @@ def audit_family(fam: BarrierFamily, radii, grid_size: int,
         })
 
     def moduli(points, lir):
-        # |f_r| at each offset, from one call of the hook
-        n = len(points)
-        return list(map(abs, fam.values(points, range(n), [lir] * n)))
+        # |f_r| at each offset, from one call of the hook per offset
+        return [abs(fam.values(z, [lir])[0]) for z in points]
 
     for r in radii:
         r = float(r)

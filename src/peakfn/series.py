@@ -36,11 +36,6 @@ BARRIER_EVAL_REL = 1e-12
 _U = 2.0 ** -53
 _TINY = 2.0 ** -1074
 
-# (point, j) pairs evaluated in one call of the family hook by
-# evaluate_many: bounds the memory a batch holds, whatever the size of the
-# grid
-BATCH_PAIRS = 2048
-
 
 @dataclass
 class EvalResult:
@@ -101,8 +96,8 @@ class PeakSeries:
         return self.engine.schedule.split_index(-math.log(d))
 
     def evaluate(self, delta: complex) -> EvalResult:
-        """Enclosure of F(y) and the case label of y = x + delta: a batch
-        of one point of evaluate_many."""
+        """Enclosure of F(y) and the case label of y = x + delta: one
+        point of evaluate_many."""
         return next(self.evaluate_many([delta]))
 
     def evaluate_many(self, points) -> Iterator[EvalResult]:
@@ -124,57 +119,30 @@ class PeakSeries:
         ceiling of the indices between the head and the split, is an fsum
         rounded up, so it bounds the exact sum of its float terms.
 
-        The points go in batches of at most BATCH_PAIRS (point, j) pairs
-        (a point that needs more is a batch of its own).  A batch takes
-        every f_j(y) from one call of the family's hook; the rest works on
-        bare float ends per point, with the floats of Enclosure arithmetic.
+        Each point takes f_1(y)..f_k(y) from one call of the family's hook,
+        and its box around the numerator works on bare float ends
+        (re_lo, re_hi, im_lo, im_hi) with the floats of Enclosure arithmetic.
         """
         return self._evaluate_admitted(
             [self.family.domain.require(y) for y in points])
 
     def _evaluate_admitted(self, points: list) -> Iterator[EvalResult]:
         """evaluate_many at offsets the domain has admitted."""
-        n = self.n_terms
-        batch: list[tuple] = []
-        pairs = 0
+        n, consts = self.n_terms, self.consts
+        mul = operator.mul
+        thresholds = self.thresholds
+        alpha_tol = consts.alpha + GUARD * max(1.0, consts.alpha)
+        off = self.family.exact_off_value
+        ratio = consts.C / consts.M
         for delta in points:
             m = self.split_index(delta)
             # the barriers called: f_1..f_k
             k, phi = n, None
             if 0 < m < n:
                 phi = self.family.off_ball_bound(delta, self.log_inv_r[m])
-                if phi <= self.consts.alpha:
+                if phi <= consts.alpha:
                     k = m
-            if batch and pairs + k > BATCH_PAIRS:
-                yield from self._evaluate_batch(batch)
-                batch, pairs = [], 0
-            batch.append((delta, m, k, phi))
-            pairs += k
-        if batch:
-            yield from self._evaluate_batch(batch)
-
-    def _evaluate_batch(self, batch: list) -> list[EvalResult]:
-        """evaluate_many over (delta, m(y), k(y), phi) tuples: f_1..f_k at
-        every point from one call of the family hook, then each point's
-        box around the numerator as the ends (re_lo, re_hi, im_lo, im_hi)
-        of its real and imaginary parts."""
-        n, consts = self.n_terms, self.consts
-        which, lirs = [], []
-        for i, (_, _, k, _) in enumerate(batch):
-            which += [i] * k
-            lirs += self.log_inv_r[:k]
-        vals = self.family.values([delta for delta, _, _, _ in batch],
-                                  which, lirs)
-        mul = operator.mul
-        thresholds = self.thresholds
-        alpha_tol = consts.alpha + GUARD * max(1.0, consts.alpha)
-        off = self.family.exact_off_value
-        ratio = consts.C / consts.M
-        out = []
-        start = 0
-        for delta, m, k, phi in batch:
-            f = vals[start:start + k]
-            start += k
+            f = self.family.values(delta, self.log_inv_r[:k])
             sig_lo, sig_hi = self.sigma_lo[:k], self.sigma_hi[:k]
             sig_mag = self._sigma_mag[:k]
             # abs of a Python complex is libm's hypot of its parts
@@ -236,12 +204,11 @@ class PeakSeries:
             else:
                 box = widen_box(box, consts.alpha * far_tail.hi)
             re_lo, re_hi, im_lo, im_hi = box = div_box(box, self.normalizer)
-            out.append(EvalResult(
+            yield EvalResult(
                 point=delta, m_of_y=m,
                 F=ComplexEnclosure(Enclosure(re_lo, re_hi),
                                    Enclosure(im_lo, im_hi)),
-                abs_F=Enclosure(*abs_box(box)), case=case))
-        return out
+                abs_F=Enclosure(*abs_box(box)), case=case)
 
     def _mass_after(self, k: int) -> Enclosure:
         """Enclosure of sum_{j>k} sigma_j over the head and its tail, each

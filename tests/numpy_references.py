@@ -194,9 +194,9 @@ def evaluate_many(ser, points):
     starts = ends - counts
     which = np.repeat(np.arange(len(batch)), counts)
     j = np.arange(ends[-1]) - starts[which]
-    lirs = np.array(ser.log_inv_r)
-    vals = np.array(ser.family.values([d for d, _, _, _ in batch],
-                                      which.tolist(), lirs[j].tolist()),
+    # f_1..f_k at each point from one call of the one-point hook
+    vals = np.array([v for d, _, k, _ in batch
+                     for v in ser.family.values(d, ser.log_inv_r[:k])],
                     dtype=complex)
     sig_lo = np.array(ser.sigma_lo)[j]
     sig_hi = np.array(ser.sigma_hi)[j]

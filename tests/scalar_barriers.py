@@ -1,7 +1,7 @@
 """The barrier families one point and one radius at a time: the closures
-each family made per radius before evaluation went through the array hook
-BarrierFamily.values, kept as the reference the hook must equal bit for
-bit.  Points are offsets from the peak, as the hook takes them."""
+each family made per radius before evaluation went through the family
+hook BarrierFamily.values, kept as the reference the hook must equal bit
+for bit.  Points are offsets from the peak, as the hook takes them."""
 
 import cmath
 import math

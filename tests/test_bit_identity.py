@@ -1,4 +1,4 @@
-"""The plain-Python unit panels, weight batch and batched evaluation give
+"""The plain-Python unit panels, weight batch and grid evaluation give
 the floats of their numpy versions (tests/numpy_references.py) bit for
 bit, signed zeros included, on seeded hypotheses, for both families at
 N = 10, 100 and 1000."""

@@ -143,7 +143,7 @@ def test_disk_barrier_tolerance_shell_is_safe(disk):
             assert abs(disk.barrier(lir)(delta)) <= 1.0
 
 
-# -- the array hook against the scalar closures ------------------------------
+# -- the one-point hook against the scalar closures --------------------------
 
 
 def _bits(values) -> list:
@@ -152,19 +152,16 @@ def _bits(values) -> list:
 
 
 def _assert_hook_is_scalar(fam, points, lirs):
-    """values over every (point, radius) pair, in a shuffled order, equals
+    """values at each point, over every radius in a shuffled order, equals
     the scalar closure at that radius bit for bit, and so does barrier."""
-    pts = [complex(z) for z in points]
-    which, radii = np.meshgrid(np.arange(len(pts)), np.asarray(lirs),
-                               indexing="ij")
-    order = np.random.default_rng(5).permutation(which.size)
-    which = which.ravel()[order].tolist()
-    radii = radii.ravel()[order].tolist()
-    got = fam.values(pts, which, radii)
+    rng = random.Random(5)
     refs = {lir: scalar_barrier(fam, lir) for lir in lirs}
-    want = [refs[lir](pts[i]) for i, lir in zip(which, radii)]
-    assert _bits(got) == _bits(want)
-    admitted = [z for z in pts if fam.domain.contains(z)]
+    for z in map(complex, points):
+        radii = list(lirs)
+        rng.shuffle(radii)
+        got = fam.values(z, radii)
+        assert _bits(got) == _bits([refs[lir](z) for lir in radii]), z
+    admitted = [complex(z) for z in points if fam.domain.contains(z)]
     for lir in lirs[::17]:
         bar = fam.barrier(lir)
         assert _bits([bar(z) for z in admitted]) == \
@@ -216,6 +213,18 @@ def test_disk_hook_at_every_radius_and_branch(disk, head_radii):
     assert {"lw > 7", "wre < -745"} <= branches
     assert all(map(disk.domain.contains, points))
     _assert_hook_is_scalar(disk, points, head_radii)
+
+
+@pytest.mark.parametrize("name", ["synthetic", "disk-exp"])
+def test_hook_on_no_radii_and_at_the_peak(ref_constants, head_radii, name):
+    fam = family_by_name(name, ref_constants)
+    for z in (0j, complex(-0.0, -0.0), -0.5 + 0.5j, 0.5):
+        if fam.domain.contains(z):
+            assert fam.values(z, []) == []
+    # condition (1) holds exactly, at every radius of the head and far past
+    lirs = head_radii + [1e3, 1e6]
+    for peak in (0j, complex(-0.0, -0.0)):
+        assert _bits(fam.values(peak, lirs)) == _bits([1 + 0j] * len(lirs))
 
 
 @pytest.mark.parametrize("name", ["synthetic", "disk-exp"])

@@ -72,19 +72,19 @@ def test_verify_peak_calls_each_barrier_once_per_point(ref_series,
                                                        disk_series):
     # off the peak f_j is called only for j <= m(y), since the family's
     # off-ball bound at r_{m+1} is at most alpha at every admitted point of
-    # both families; at the peak every f_j is called
+    # both families; at the peak every f_j is called.  Each point makes
+    # one call of the hook
     full_off_peak = 0
     for ser in (ref_series, disk_series):
         calls = {}
         index = {lir: j for j, lir in enumerate(ser.log_inv_r, 1)}
 
         def counted(values):
-            # one (point, j) pair per entry of the hook's lists
-            def hook(points, which, lirs):
-                for i, lir in zip(which, lirs):
-                    calls.setdefault(complex(points[i]), []).append(
-                        index[lir])
-                return values(points, which, lirs)
+            # one call per point, with the radii of f_1..f_k
+            def hook(delta, lirs):
+                assert complex(delta) not in calls
+                calls[complex(delta)] = [index[lir] for lir in lirs]
+                return values(delta, lirs)
             return hook
 
         counting = dataclasses.replace(ser, family=dataclasses.replace(
@@ -581,7 +581,7 @@ def test_pad_and_ceiling_bound_their_exact_sums(ref_constants, monkeypatch,
     # the ceiling sum_{N < j < m} (C/M) g(j).hi; each must be at least the
     # exact sum of its float terms, which a sum rounded to nearest misses.
     # Both are _sum_up of exactly those terms (the per-point reference,
-    # which the batch path equals bit for bit, widens by them)
+    # which evaluate_many equals bit for bit, widens by them)
     ser = build(synthetic_family(ref_constants), n_terms=n)
     sums = []
 
@@ -837,7 +837,7 @@ def test_off_ball_widening_nests_the_per_term_chain(reference_cases):
             assert a.encloses(b)
 
 
-# -- the batch path against one point at a time ------------------------------
+# -- evaluate_many against Enclosure arithmetic one point at a time ----------
 
 
 def _per_point_dot(lo, hi, vals) -> Enclosure:
@@ -853,8 +853,8 @@ def _per_point_dot(lo, hi, vals) -> Enclosure:
 
 def _per_point_evaluate(ser, y) -> EvalResult:
     """evaluate one point at a time with Enclosure arithmetic, each f_j
-    from the scalar reference closures: the reference whose floats the
-    batch path must reproduce."""
+    from the scalar reference closures: the reference whose floats
+    evaluate_many must reproduce."""
     y = ser.family.domain.require(y)
     m = ser.split_index(y)
     n = ser.n_terms
@@ -959,38 +959,6 @@ def test_batch_equals_per_point_past_a_short_head(short_heads, family):
     results = list(ser.evaluate_many(points))
     assert max(res.m_of_y for res in results) > ser.n_terms + 1
     assert any(str(res.case) == "head-exhausted" for res in results)
-    _assert_batch_is_per_point(ser, points)
-
-
-def test_batches_straddle_the_cap(reference_cases, monkeypatch):
-    # with the cap at 100 pairs the grid's m(y) pairs per point fill many
-    # batches; each batch stays under the cap, and a point past a batch
-    # boundary gets the same floats
-    ser = reference_cases("disk-exp", 100)
-    sizes = []
-    batch_of = peakfn.PeakSeries._evaluate_batch
-
-    def recording(self, batch):
-        sizes.append([k for _, _, k, _ in batch])
-        return batch_of(self, batch)
-
-    monkeypatch.setattr(peakfn.PeakSeries, "_evaluate_batch", recording)
-    cap = 100
-    monkeypatch.setattr(peakfn.series, "BATCH_PAIRS", cap)
-    points = make_grid(ser.family, "log", 1e-30, 1.0, 500)
-    _assert_batch_is_per_point(ser, points)
-    assert len(sizes) > 5
-    assert sum(map(sum, sizes)) > 10 * cap
-    assert all(sum(ks) <= cap for ks in sizes)
-    # each batch ends where the next point would not fit
-    assert all(sum(ks) + nxt[0] > cap
-               for ks, nxt in zip(sizes, sizes[1:]))
-
-
-def test_a_point_past_the_cap_is_its_own_batch(ref_constants, monkeypatch):
-    ser = build(synthetic_family(ref_constants), n_terms=40)
-    monkeypatch.setattr(peakfn.series, "BATCH_PAIRS", 25)
-    points = make_grid(ser.family, "log", 1e-30, 1.0, 60) + [0j]
     _assert_batch_is_per_point(ser, points)
 
 
