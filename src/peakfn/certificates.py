@@ -18,7 +18,7 @@ from . import hypothesis as hyp
 # unused here; kept because perfbench's tracer wraps the name in this module
 from ._kernels import radius_bound_sweep  # noqa: F401
 from .enclosure import down, up
-from .hypothesis import GUARD, M_MAX, Constants
+from .hypothesis import GUARD, Constants
 from .schedule import Schedule
 from .weights import WeightEngine
 
@@ -69,25 +69,19 @@ def check_first_shell(consts: Constants) -> dict:
 
 
 def check_eps_condition(consts: Constants) -> dict:
-    """Neighborhood-shrink exponent inequality for every m >= 3.
-
-    The record is the chooser's own report: the head check on [3, M_MAX]
-    and the tail proof that extends it to all m >= M_MAX.
-    """
+    """Neighborhood-shrink exponent inequality for every m >= 3: the
+    chooser's closed-form proof (hypothesis.eps_condition_report) with its
+    admission premise."""
     rep = hyp.eps_condition_report(consts.alpha, consts.s, consts.t, consts.A,
-                                   consts.M, consts.p, consts.q, M_MAX)
+                                   consts.M, consts.p, consts.q)
     return {
         "name": "eps-condition",
-        "range": (f"m in [3, {M_MAX}] plus tail certificate for all "
-                  f"m >= {M_MAX}"),
+        "range": "all m >= 3",
         "min_rel_margin": rep["min_rel_margin"],
-        "argmin_m": rep["argmin_m"],
         "guard": GUARD,
         "passed": rep["passed"],
-        "details": {
-            "head_passed": rep["head_passed"],
-            "tail_certificate": rep["tail_certificate"],
-        },
+        "details": {k: rep[k] for k in ("m_star", "f3_sides", "d_m_max_sides",
+                                        "premise_rel_margins")},
     }
 
 

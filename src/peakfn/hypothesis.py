@@ -8,7 +8,6 @@ margins, so downstream modules can treat the constants as pre-validated.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +32,9 @@ M_CAP_FACTOR = 2.0 ** 20
 # radius-bound constant; choose_L proves L >= 3 suffices for every p in (0,1)
 L_CANDIDATE = 5.0
 
-# end of the shrink inequality's per-m head check on [3, M_MAX]; its tail
-# certificate covers every m >= M_MAX.  The accepted M, and so every report,
-# depends on it
+# the point of the shrink inequality's admission premise d(M_MAX) > 0; the
+# proof does not need it, but it decides which hypotheses choose_M admits,
+# and so the accepted M and every report
 M_MAX = 120
 
 # p values on which the tests compare the L bound with a direct sweep
@@ -241,103 +240,47 @@ def slope_test(lo: float, coeff: float, a: float, p: float, m0: float,
     return rel_margin(lo, hi), strictly_less(lo, hi)
 
 
-def _eps_tail_certificate(alpha: float, s: float, t: float, A: float,
-                          M: float, p: float, q: float, m_check: int) -> dict:
-    """Tail proof: rhs - lhs of the shrink inequality increases past m_check.
-
-    With c1, c2 the two exponent coefficients, rhs - lhs equals
-    d(m) + c1*2^(1-q) - c2 with d(m) = c2*(m-1)^p - c1*(m+1)^(1-q), and
-    d'(m) > 0 iff c2*p*R(m) > c1*(1-q) with R(m) = (m+1)^q / (m-1)^(1-p).
-    Given the gap p > 1-q, R falls and then rises, with its minimum at
-    m* = (q+1-p)/(q-(1-p)); so the slope test at m0 = max(m_check, m*)
-    proves d' > 0 on [m_check, inf), and the head check at m_check then
-    covers every larger m.  d(m_check) > 0 is also required: it is not
-    needed by the proof, but it keeps the chooser's accepted M unchanged.
-    1 - q must clear the guard band too: where q rounds to 1 the exponent
-    (m+1)^(1-q) is 1 at every m, and the float inequality checks nothing.
-    """
-    c1, c2, _, _ = _eps_coefficients(alpha, s, t, A, M, p, q)
-    gap = p - (1.0 - q)
-    exp_ok = 1.0 - q > GUARD and strictly_less(1.0 - q, p)
-    d0 = (c2 * math.pow(m_check - 1.0, p)
-          - c1 * math.pow(m_check + 1.0, 1.0 - q))
-    m_star = m0 = slope_margin = None
-    increasing_ok = False
-    if exp_ok:
-        m_star = (q + 1.0 - p) / gap
-        m0 = max(float(m_check), m_star)
-        slope_margin, increasing_ok = slope_test(c1 * (1.0 - q), c2 * p, q,
-                                                 p, m0, 1.0)
-    return {
-        "exponent_gap": gap,
-        "exponent_ok": exp_ok,
-        "d_at_m_check": d0,
-        "d_positive": d0 > 0.0,
-        "m_star": m_star,
-        "m0": m0,
-        "slope_rel_margin_at_m0": slope_margin,
-        "d_increasing": increasing_ok,
-        "passed": bool(exp_ok and d0 > 0.0 and increasing_ok),
-    }
-
-
-def _eps_head(alpha: float, s: float, t: float, A: float, M: float,
-              p: float, q: float, m_check: int) -> tuple:
-    """The per-m loop of the shrink inequality on [3, m_check]: the rows
-    (m, lhs, rhs, rhs - lhs) as tuples, the smallest relative margin, its
-    m, and whether every m cleared the guard band.  The sides are the
-    floats of eps_exponent_sides."""
-    c1, c2, one_minus_q, base = _eps_coefficients(alpha, s, t, A, M, p, q)
-    pw = math.pow
-    rows = []
-    min_rel = math.inf
-    argmin = 0
-    ok = True
-    for m in range(3, m_check + 1):
-        lhs = c1 * (pw(m + 1.0, one_minus_q) - base)
-        rhs = c2 * (pw(m - 1.0, p) - 1.0)
-        r = rel_margin(lhs, rhs)
-        rows.append((m, lhs, rhs, rhs - lhs))
-        if r < min_rel:
-            min_rel = r
-            argmin = m
-        if not strictly_less(lhs, rhs):
-            ok = False
-    return tuple(rows), min_rel, argmin, ok
-
-
-@functools.lru_cache(maxsize=32)
-def _eps_condition(alpha: float, s: float, t: float, A: float, M: float,
-                   p: float, q: float, m_check: int) -> tuple:
-    """_eps_head and the tail certificate's items, kept as tuples: one run
-    serves derive_constants and the certificate battery of an invocation,
-    and no caller can change what the next one reads."""
-    tail = _eps_tail_certificate(alpha, s, t, A, M, p, q, m_check)
-    return _eps_head(alpha, s, t, A, M, p, q, m_check), tuple(tail.items())
-
-
 def eps_condition_report(alpha: float, s: float, t: float, A: float,
-                         M: float, p: float, q: float, m_check: int) -> dict:
-    """Per-m margins of the shrink inequality on [3, m_check], plus the tail
-    proof that extends it to every m >= m_check.
+                         M: float, p: float, q: float) -> dict:
+    """Proof of the shrink inequality lhs(m) < rhs(m) for every m >= 3.
 
-    The inequality is computed once per set of arguments and process; each
-    call gets its own copy of the report.  An m_check below 3 is refused:
-    [3, 2] is an empty range, and m - 1 <= 0 is no base of a power."""
-    if m_check < 3:
-        raise InvalidParameterError(
-            f"m_check must be at least 3, got {m_check!r}")
-    (rows, min_rel, argmin, ok), tail = _eps_condition(
-        alpha, s, t, A, M, p, q, m_check)
-    tail = dict(tail)
+    With c1, c2 the two exponent coefficients, f(m) = rhs - lhs equals
+    c2((m-1)^p - 1) - c1((m+1)^(1-q) - 2^(1-q)), and f'(m) > 0 iff
+    c2*p*R(m) > c1*(1-q) with R(m) = (m+1)^q / (m-1)^(1-p).  Given the gap
+    p > 1-q, R falls and then rises, with its minimum at
+    m* = (q+1-p)/(q-(1-p)); so the slope test at max(3, m*) proves f
+    increasing on [3, inf), and f(3) > 0, on the floats of
+    eps_exponent_sides, covers every m.  1 - q must clear the guard band
+    too: where q rounds to 1 the exponent (m+1)^(1-q) is 1 at every m, and
+    the float inequality checks nothing.
+
+    One more premise is an admission rule, not part of the proof:
+    d(M_MAX) > 0 with d(m) = c2*(m-1)^p - c1*(m+1)^(1-q).  It decides which
+    hypotheses the chooser admits, and so the accepted M.  The premise
+    margins are, in this order, 1-q > GUARD, 1-q < p, the slope test,
+    f(3) > 0 and d(M_MAX) > 0.
+    """
+    c1, c2, one_minus_q, _ = _eps_coefficients(alpha, s, t, A, M, p, q)
+    margins = [rel_margin(GUARD, one_minus_q), rel_margin(one_minus_q, p)]
+    ok = one_minus_q > GUARD and strictly_less(one_minus_q, p)
+    m_star = None
+    if ok:
+        m_star = (q + 1.0 - p) / (p - one_minus_q)
+        slope_margin, ok = slope_test(c1 * one_minus_q, c2 * p, q, p,
+                                      max(3.0, m_star), 1.0)
+        margins.append(slope_margin)
+    f3_sides = eps_exponent_sides(alpha, s, t, A, M, p, q, 3)
+    d_sides = (c1 * math.pow(M_MAX + 1.0, one_minus_q),
+               c2 * math.pow(M_MAX - 1.0, p))
+    margins += [rel_margin(*f3_sides), rel_margin(*d_sides)]
     return {
-        "m_range": [3, m_check],
-        "per_m": list(map(list, rows)),
-        "min_rel_margin": min_rel,
-        "argmin_m": argmin,
-        "head_passed": ok,
-        "tail_certificate": tail,
-        "passed": bool(ok and tail["passed"]),
+        "m_star": m_star,
+        "f3_sides": list(f3_sides),
+        "d_m_max_sides": list(d_sides),
+        "premise_rel_margins": margins,
+        "min_rel_margin": min(margins),
+        "passed": bool(ok and strictly_less(*f3_sides)
+                       and d_sides[0] < d_sides[1]),
     }
 
 
@@ -347,8 +290,8 @@ def choose_M(h: HypothesisConstants) -> tuple[float, dict]:
     Candidates are max(C, 1+DELTA_M) * 2^i starting one doubling above the
     base (the base itself sits too close to the regime boundary to leave
     useful margin), up to the cap and while they are finite.  Each
-    candidate is checked on [3, M_MAX] plus the documented tail
-    certificate.
+    candidate must pass the proof of eps_condition_report and its
+    admission premise.
     """
     base = max(h.C, 1.0 + DELTA_M)
     cap = M_CAP_FACTOR * max(h.C, 1.0)
@@ -358,7 +301,7 @@ def choose_M(h: HypothesisConstants) -> tuple[float, dict]:
     while candidate <= cap and math.isfinite(candidate):
         p, q = derive_pq(h.t, candidate)
         report = eps_condition_report(h.alpha, h.s, h.t, h.A,
-                                      candidate, p, q, M_MAX)
+                                      candidate, p, q)
         if report["passed"]:
             return candidate, report
         if report["min_rel_margin"] > best_margin:
@@ -447,7 +390,7 @@ def derive_constants(h: HypothesisConstants,
             raise InvalidParameterError(f"M must exceed 1, got {M!r}")
         p_tmp, q_tmp = derive_pq(hn.t, M)
         eps_report = eps_condition_report(hn.alpha, hn.s, hn.t, hn.A,
-                                          M, p_tmp, q_tmp, M_MAX)
+                                          M, p_tmp, q_tmp)
     report["eps_condition"] = eps_report
 
     p, q = derive_pq(hn.t, M)

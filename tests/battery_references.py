@@ -1,8 +1,9 @@
 """The certificate battery's per-index passes as the package computed them
 before they became float-list passes or closed-form proofs: one Enclosure
 chain or scalar query per index m.  They are the references whose records
-and floats the package's passes must give bit for bit, and the sweep that
-claim 2's closed-form record must agree with."""
+and floats the package's passes must give bit for bit, and the sweeps and
+rules that the closed-form records of claim 2 and the shrink inequality
+must agree with."""
 
 import math
 
@@ -76,34 +77,34 @@ def radius_recursion_closed_form(sched, m_equiv=200):
     }
 
 
-def eps_condition_report(alpha, s, t, A, M, p, q, m_check):
-    """hypothesis.eps_condition_report with every coefficient recomputed at
-    each m, and no cache."""
-    margins = []
-    min_rel = math.inf
-    argmin = 0
-    ok = True
-    for m in range(3, m_check + 1):
-        c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
-        lhs = c1 * (math.pow(m + 1.0, 1.0 - q) - math.pow(2.0, 1.0 - q))
-        rhs = math.log(1.0 / A) * (s / p) * (math.pow(m - 1.0, p) - 1.0)
-        r = hyp.rel_margin(lhs, rhs)
-        margins.append([m, lhs, rhs, rhs - lhs])
-        if r < min_rel:
-            min_rel = r
-            argmin = m
+def eps_sweep_passed(alpha, s, t, A, M, p, q, m_end):
+    """The shrink inequality checked at each m in [3, m_end] with the guard
+    band, on the floats of hypothesis.eps_exponent_sides."""
+    c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
+    c2 = math.log(1.0 / A) * (s / p)
+    base = math.pow(2.0, 1.0 - q)
+    for m in range(3, m_end + 1):
+        lhs = c1 * (math.pow(m + 1.0, 1.0 - q) - base)
+        rhs = c2 * (math.pow(m - 1.0, p) - 1.0)
         if not strictly_less(lhs, rhs):
-            ok = False
-    tail = hyp._eps_tail_certificate(alpha, s, t, A, M, p, q, m_check)
-    return {
-        "m_range": [3, m_check],
-        "per_m": margins,
-        "min_rel_margin": min_rel,
-        "argmin_m": argmin,
-        "head_passed": ok,
-        "tail_certificate": tail,
-        "passed": bool(ok and tail["passed"]),
-    }
+            return False
+    return True
+
+
+def eps_condition_passed(alpha, s, t, A, M, p, q, m_max=120):
+    """The shrink inequality's verdict as the package gave it before its
+    all-m proof: the per-m sweep on [3, m_max], then 1 - q > GUARD and
+    1 - q < p, the slope test at max(m_max, m*) and d(m_max) > 0."""
+    if not (eps_sweep_passed(alpha, s, t, A, M, p, q, m_max)
+            and 1.0 - q > GUARD and strictly_less(1.0 - q, p)):
+        return False
+    c1 = (1.0 + M * t) * (1.0 - alpha) / (2.0 * M * (1.0 - t))
+    c2 = math.log(1.0 / A) * (s / p)
+    m_star = (q + 1.0 - p) / (p - (1.0 - q))
+    _, slope_ok = hyp.slope_test(c1 * (1.0 - q), c2 * p, q, p,
+                                 max(float(m_max), m_star), 1.0)
+    d = c2 * math.pow(m_max - 1.0, p) - c1 * math.pow(m_max + 1.0, 1.0 - q)
+    return slope_ok and d > 0.0
 
 
 def choose_D(alpha, s, C):

@@ -3,18 +3,19 @@ of their per-index Enclosure versions (tests/battery_references.py) bit for
 bit, and claim 2's closed-form record agrees with the per-index sweep, on
 the reference config, on hypotheses drawn as perfbench draws its
 certify-cold stream, on a slowly decaying corner of the hypothesis space
-and on a config where claim 2 fails."""
+and on a config where claim 2 fails.  The shrink inequality's proof gives
+the verdict of the per-m rule it replaced on those and on wider draws."""
 
 import functools
-import json
+import math
 import random
 
 import battery_references as ref
 import pytest
 
-from peakfn import (HypothesisConstants, Schedule, WeightEngine, _kernels,
-                    build, certificates, cli, derive_constants,
-                    synthetic_family)
+from peakfn import (HypothesisConstants, InfeasibleParametersError, Schedule,
+                    WeightEngine, _kernels, build, certificates,
+                    derive_constants, synthetic_family)
 from peakfn import hypothesis as hyp
 from peakfn.enclosure import Enclosure
 from peakfn.hypothesis import adjust_C, choose_D
@@ -116,26 +117,70 @@ def test_schedule_identities_match_the_per_index_reference(name):
         [ref.log_inv_radius_closed(sched, m) for m in range(1, 401)])
 
 
-@pytest.mark.parametrize("m_check", [3, 120, 400])
+@pytest.mark.parametrize("m_end", [3, 120, 400])
 @pytest.mark.parametrize("name", list(CONSTANTS))
-def test_eps_condition_report_matches_the_reference(name, m_check):
+def test_eps_condition_report_matches_the_reference(name, m_end):
+    # the all-m proof gives the verdict of the per-m rule it replaced, and
+    # where it passes, so does a per-m sweep to m_end
     c = CONSTANTS[name]
-    args = (c.alpha, c.s, c.t, c.A, c.M, c.p, c.q, m_check)
-    assert _bits(hyp.eps_condition_report(*args)) == _bits(
-        ref.eps_condition_report(*args))
+    args = (c.alpha, c.s, c.t, c.A, c.M, c.p, c.q)
+    rep = hyp.eps_condition_report(*args)
+    assert rep["passed"] == ref.eps_condition_passed(*args)
+    assert not rep["passed"] or ref.eps_sweep_passed(*args, m_end)
 
 
-def test_cached_eps_report_cannot_be_changed_by_a_caller():
-    c = CONSTANTS["reference"]
-    args = (c.alpha, c.s, c.t, c.A, c.M, c.p, c.q, 120)
-    first = hyp.eps_condition_report(*args)
-    want = json.dumps(first, sort_keys=True)
-    first["per_m"][0][1] = 1e300
-    first["per_m"].clear()
-    first["tail_certificate"]["passed"] = "changed"
-    first["m_range"].append(7)
-    again = hyp.eps_condition_report(*args)
-    assert json.dumps(again, sort_keys=True) == want
+def _wide_draws(seed, count):
+    rng = random.Random(seed)
+    return [{"alpha": rng.uniform(0.01, 0.99), "s": rng.uniform(0.05, 1.0),
+             "t": rng.uniform(0.01, 0.99), "A": rng.uniform(0.01, 0.99),
+             "C": rng.uniform(0.1, 20.0)} for _ in range(count)]
+
+
+# the three box hypotheses of the CI battery, the slow-decay corner and its
+# t = 0.9 neighbour, which d(120) > 0 refuses, and two C where the M
+# doubling meets q rounding to 1 and the end of the float range
+CI_AND_CORNERS = [
+    {"alpha": 0.5521616897432062, "s": 0.7349586963600938,
+     "t": 0.8065684994514803, "A": 0.3507086869130501,
+     "C": 2.101516869271345},
+    {"alpha": 0.4165939451210995, "s": 0.8300424332743244,
+     "t": 0.7571534607086419, "A": 0.5708941275979967,
+     "C": 2.9921502970786213},
+    {"alpha": 0.5776982815523525, "s": 0.5445653337402547,
+     "t": 0.5710841080611686, "A": 0.3108191766976263,
+     "C": 1.961455177731552},
+    SLOW_DECAY, dict(SLOW_DECAY, t=0.9), dict(REF, C=1e300),
+    dict(REF, C=1e308)]
+DRAW_SETS = {"wide-seed7": _wide_draws(7, 1000),
+             "box-seed1": _box_draws(1, 2000),
+             "box-seed4099": _box_draws(4099, 2000),
+             "ci-and-corners": CI_AND_CORNERS}
+
+
+@pytest.mark.parametrize("name", list(DRAW_SETS))
+def test_eps_proof_keeps_the_verdict_on_every_M_candidate(name):
+    # choose_M's candidates in its order, up to the first it accepts: each
+    # gets the old rule's verdict, and the accepted M holds on a per-m
+    # sweep to m = 3000, far past the old head [3, 120]
+    for h in DRAW_SETS[name]:
+        hn = HypothesisConstants(**h).normalized()
+        cand = 2.0 * max(hn.C, 1.0 + hyp.DELTA_M)
+        cap = hyp.M_CAP_FACTOR * max(hn.C, 1.0)
+        accepted = None
+        while accepted is None and cand <= cap and math.isfinite(cand):
+            args = (hn.alpha, hn.s, hn.t, hn.A, cand,
+                    *hyp.derive_pq(hn.t, cand))
+            passed = hyp.eps_condition_report(*args)["passed"]
+            assert passed == ref.eps_condition_passed(*args), (h, cand)
+            if passed:
+                assert ref.eps_sweep_passed(*args, 3000), (h, cand)
+                accepted = cand
+            cand *= 2.0
+        if accepted is None:
+            with pytest.raises(InfeasibleParametersError):
+                hyp.choose_M(hn)
+        else:
+            assert hyp.choose_M(hn)[0] == accepted
 
 
 @pytest.mark.parametrize("name", list(CONSTANTS))
@@ -199,38 +244,6 @@ def test_run_all_records_equal_the_references(name, m_max):
         certificates.check_claim2(WeightEngine(consts)))
     assert _bits(got["radius-recursion-closed-form"]) == _bits(
         ref.radius_recursion_closed_form(Schedule(consts)))
-
-
-def _cli(tmp_path, *args):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(REF))
-    out = tmp_path / "out.json"
-    assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 0
-    return out.read_bytes()
-
-
-def test_one_certify_runs_the_shrink_loop_once_for_the_accepted_M(
-        tmp_path, monkeypatch):
-    calls = []
-    loop = hyp._eps_head
-
-    def counting(*args):
-        calls.append(args[4])   # M
-        return loop(*args)
-
-    # the params bytes of the per-m reference, with no cache in the way
-    monkeypatch.setattr(hyp, "eps_condition_report", ref.eps_condition_report)
-    want = _cli(tmp_path, "params")
-    monkeypatch.undo()
-    monkeypatch.setattr(hyp, "_eps_head", counting)
-    hyp._eps_condition.cache_clear()
-    report = json.loads(_cli(tmp_path, "certify"))
-    assert report["passed"]
-    assert calls.count(report["constants"]["M"]) == 1
-    # a warm cache and a cold one give the reference's bytes
-    assert _cli(tmp_path, "params") == want
-    hyp._eps_condition.cache_clear()
-    assert _cli(tmp_path, "params") == want
 
 
 def test_build_makes_no_enclosure_per_head_term(monkeypatch):

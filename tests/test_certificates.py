@@ -65,19 +65,23 @@ def test_eps_condition_dual_route(ref_constants):
         got = eps_exponent_sides(c.alpha, c.s, c.t, c.A, c.M, c.p, c.q, m)
         assert got == pytest.approx((lhs, rhs), rel=1e-13, abs=0.0)
         worst = min(worst, (rhs - lhs) / max(abs(lhs), abs(rhs)))
+        if m == 3:
+            f3_sides = [lhs, rhs]
     rec = check_eps_condition(ref_constants)
-    assert rec["passed"]
-    assert rec["details"]["tail_certificate"]["passed"]
-    assert rec["min_rel_margin"] == pytest.approx(worst, rel=1e-12)
+    assert rec["passed"] and rec["range"] == "all m >= 3"
+    assert rec["details"]["f3_sides"] == pytest.approx(f3_sides, rel=1e-13)
+    # the premises' smallest margin is below every margin of the sweep
+    assert rec["min_rel_margin"] == min(rec["details"]["premise_rel_margins"])
+    assert 0.0 < rec["min_rel_margin"] <= worst
 
 
 def test_eps_tail_fails_without_exponent_gap(ref_constants):
-    # q = 1 - p closes the gap the tail proof needs (and puts m* at 1/0)
+    # q = 1 - p closes the gap the proof needs (and puts m* at 1/0)
     bad = dataclasses.replace(ref_constants, q=1.0 - ref_constants.p)
     rec = check_eps_condition(bad)
-    tail = rec["details"]["tail_certificate"]
-    assert not tail["exponent_ok"] and tail["m_star"] is None
-    assert not tail["passed"] and not rec["passed"]
+    assert rec["details"]["m_star"] is None and not rec["passed"]
+    # the gap premise 1 - q < p is the second margin, a tie at zero
+    assert rec["details"]["premise_rel_margins"][1] == 0.0
 
 
 @pytest.mark.parametrize("p", [-0.25, 1.0, 1.5])

@@ -8,9 +8,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import peakfn
 from peakfn import cli, series as series_mod
@@ -674,3 +677,35 @@ def test_params_and_certify_agree(tmp_path, capsys, extra, rc):
     p = write_cfg(tmp_path, **extra)
     assert cli.main(["params", "--config", str(p)]) == rc
     assert cli.main(["certify", "--config", str(p)]) == rc
+
+
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                       exclude_max=True)
+
+
+@given(alpha=_OPEN_UNIT, s=st.floats(min_value=0.0, max_value=1.0,
+                                     exclude_min=True),
+       t=_OPEN_UNIT, big_a=_OPEN_UNIT,
+       c=st.floats(min_value=0.0, max_value=1e308, exclude_min=True))
+@example(alpha=0.3, s=0.5, t=0.85, big_a=0.7, c=2.0)
+@example(alpha=0.3, s=0.5, t=0.9, big_a=0.7, c=2.0)
+@example(alpha=0.5, s=1.0, t=0.75, big_a=0.5, c=1e300)
+@example(alpha=0.5, s=1.0, t=0.75, big_a=0.5, c=1e308)
+@settings(max_examples=100, deadline=None)
+def test_random_hypotheses_exit_0_or_2(alpha, s, t, big_a, c):
+    # every admissible hypothesis derives, certifies, builds and verifies,
+    # or is refused with exit code 2; none raises
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"alpha": alpha, "s": s, "t": t, "A": big_a, "C": c}, fh)
+        ser = os.path.join(tmp, "series.json")
+        for argv in (["params"], ["certify"],
+                     ["build", "--terms", "10", "--series", ser],
+                     ["verify", "--series", ser,
+                      "--grid", "log:1e-30:1:20"]):
+            if argv[0] == "verify" and not os.path.exists(ser):
+                break
+            rc = cli.main([*argv, "--config", cfg,
+                           "--out", os.path.join(tmp, "out")])
+            assert rc in (0, 2), argv[0]

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peakfn import (Constants, HypothesisConstants, InfeasibleParametersError,
-                    InvalidHypothesisError, InvalidParameterError, adjust_C,
-                    adjust_t, choose_D, choose_L, choose_M, derive_constants,
-                    derive_pq)
+                    InvalidHypothesisError, adjust_C, adjust_t, choose_D,
+                    choose_L, choose_M, derive_constants, derive_pq)
 from peakfn._kernels import choose_l_sweep
 from peakfn.hypothesis import (L_CANDIDATE, P_GRID, bracket_certificate,
                                eps_condition_report, eps_exponent_sides,
@@ -82,15 +81,6 @@ def test_choose_M_infeasible_reported():
     assert exc_info.value.best_margin < 0.0
 
 
-@pytest.mark.parametrize("m_check", [2, 0, -5])
-def test_m_max_below_3_refused_where_the_range_is_read(m_check):
-    # [3, 2] is an empty range, and 0 or -5 would take a power of -1; the
-    # chooser and the battery pass M_MAX, so only a direct caller gets here
-    p, q = derive_pq(0.75, 4.0)
-    with pytest.raises(InvalidParameterError, match="m_check must be at least"):
-        eps_condition_report(0.5, 1.0, 0.75, 0.5, 4.0, p, q, m_check)
-
-
 def test_choose_L_ref():
     assert choose_L() == 5.0
 
@@ -130,19 +120,19 @@ def test_bracket_certificate_is_p_in_unit_interval(p, ok):
        t=st.floats(min_value=0.51, max_value=0.99),
        big_a=st.floats(min_value=0.01, max_value=0.99),
        big_m=st.floats(min_value=1.01, max_value=1000.0),
-       m_check=st.integers(min_value=3, max_value=200))
-@example(alpha=0.5, s=1.0, t=0.75, big_a=0.5, big_m=4.0, m_check=120)
+       m_first=st.integers(min_value=3, max_value=200))
+@example(alpha=0.5, s=1.0, t=0.75, big_a=0.5, big_m=4.0, m_first=3)
 @settings(max_examples=200, deadline=None)
-def test_eps_tail_proof_holds_far_out(alpha, s, t, big_a, big_m, m_check):
-    # whenever the head and the closed-form tail pass, the inequality holds
-    # at m_check * 2^k far beyond any range the head loop visits
+def test_eps_tail_proof_holds_far_out(alpha, s, t, big_a, big_m, m_first):
+    # whenever the proof passes, the inequality holds at m_first * 2^k far
+    # beyond any range a per-m check would visit
     p, q = derive_pq(t, big_m)
-    rep = eps_condition_report(alpha, s, t, big_a, big_m, p, q, m_check)
+    rep = eps_condition_report(alpha, s, t, big_a, big_m, p, q)
     if not rep["passed"]:
         return
     for k in range(31):
         lhs, rhs = eps_exponent_sides(alpha, s, t, big_a, big_m, p, q,
-                                      m_check * 2 ** k)
+                                      m_first * 2 ** k)
         assert rhs - lhs > 0.0, f"k={k}"
 
 
@@ -164,14 +154,17 @@ def test_derive_constants_ref_bundle():
 
 def test_eps_condition_frozen_sides():
     _, report = derive_constants(REF)
-    per_m = {int(row[0]): (row[1], row[2])
-             for row in report["eps_condition"]["per_m"]}
-    lhs3, rhs3 = per_m[3]
+    eps = report["eps_condition"]
+    lhs3, rhs3 = eps["f3_sides"]
     assert lhs3 == pytest.approx(0.04623395024, rel=1e-9)
     assert rhs3 == pytest.approx(0.5245935132, rel=1e-9)
-    lhs10, rhs10 = per_m[10]
+    lhs10, rhs10 = eps_exponent_sides(0.5, 1.0, 0.75, 0.5, 4.0, 0.25, 0.9375,
+                                      10)
     assert lhs10 == pytest.approx(0.1174076363, rel=1e-9)
     assert rhs10 == pytest.approx(2.029675813, rel=1e-9)
+    # m* = (q+1-p)/(q-(1-p)) = 1.6875/0.1875, exact in floats
+    assert eps["m_star"] == 9.0
+    assert eps["min_rel_margin"] == min(eps["premise_rel_margins"]) > 0.0
 
 
 def test_ref_values_not_secretly_weakened():
