@@ -76,7 +76,7 @@ def cmd_build(cfg: Config, terms, series, out) -> int:
         raise ConfigError("build needs --series PATH")
     consts, _ = _derive_from_config(cfg)
     fam = families.family_by_name(cfg.family, consts)
-    n = DEFAULT_TERMS if terms is None else int(terms)
+    n = DEFAULT_TERMS if terms is None else terms
     built = series_mod.build(fam, n_terms=n)
     series_mod.save_series(built, series)
     payload = {

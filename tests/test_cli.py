@@ -151,14 +151,18 @@ def test_removed_quad_rel_tol_key(tmp_path, capsys, monkeypatch, key, value,
     (["certify"], {"m_max": 0}),
     (["params", "--m-max=40"], {}),
     (["certify", "--m-max", "400"], {}),
+    (["certify", "--m-max", "5", "--config", "CFG", "--m-max", "12"], {}),
 ], ids=["params-M", "params", "params-0", "params-negative-M", "certify",
-        "config-params", "config-certify", "params-40", "certify-400"])
-def test_m_max_below_3_refused(tmp_path, capsys, argv, config):
+        "config-params", "config-certify", "params-40", "certify-400",
+        "certify-repeated"])
+def test_m_max_refused_at_any_value(tmp_path, capsys, argv, config):
     # m_max is no setting: the flag is an unrecognized argument and the
     # config key an unknown one, whatever the value, both exit code 1
     p = write_cfg(tmp_path, **config)
+    if "--config" not in argv:
+        argv = argv + ["--config", "CFG"]
     try:
-        rc = cli.main(argv + ["--config", str(p)])
+        rc = cli.main([str(p) if a == "CFG" else a for a in argv])
     except SystemExit as exc:
         rc = exc.code
     assert rc == 1
